@@ -1,7 +1,8 @@
 //! Sampled data-plane benchmark: training-node throughput (nodes/sec) of
 //! neighbour-sampled minibatch training vs full-batch training on a
 //! large-tier-style SBM graph.  Results are written to
-//! `BENCH_sampling.json` at the workspace root.
+//! `BENCH_sampling.json` at the workspace root (`target/bench-quick/` under
+//! `BENCH_QUICK=1`, see `bgc_bench::output`).
 //!
 //! Same-run smoke gates (machine-independent; CI runs with `BENCH_QUICK=1`):
 //!
@@ -135,9 +136,7 @@ const CHILD_FLAG: &str = "BENCH_SAMPLING_CHILD";
 const CHILD_MARKER: &str = "SAMPLING_SCALING_RESULT";
 
 fn bench_sampling(_c: &mut Criterion) {
-    let quick = std::env::var("BENCH_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false);
+    let quick = bgc_bench::output::quick_mode();
     let graph = bench_graph(quick);
     let epochs = if quick { 1 } else { 2 };
     let sampled_plan = TrainingPlan::Sampled(SampledPlan {
@@ -268,9 +267,9 @@ fn bench_sampling(_c: &mut Criterion) {
     );
     json.push('}');
     json.push('\n');
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sampling.json");
-    if let Err(err) = fs::write(path, &json) {
-        eprintln!("warning: could not write BENCH_sampling.json: {}", err);
+    let path = bgc_bench::output::output_path("BENCH_sampling.json");
+    if let Err(err) = fs::write(&path, &json) {
+        eprintln!("warning: could not write {}: {}", path.display(), err);
     }
 }
 

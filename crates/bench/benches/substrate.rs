@@ -7,7 +7,7 @@
 //! naive reference implementations at 2048x512-shaped operands plus
 //! Cora/Citeseer/ogbn-arxiv-like shapes, times one GC-SNTK condensation
 //! iteration end-to-end, and writes the results to `BENCH_substrate.json` at
-//! the workspace root so the speedup is recorded, not asserted (both
+//! the workspace root (`target/bench-quick/` under `BENCH_QUICK=1`) so the speedup is recorded, not asserted (both
 //! `matmul_transpose` and `transpose_matmul` warn below 3x).  Hard same-run
 //! gates: the runtime-dispatched SIMD gemm must agree with the scalar
 //! reference on awkward shapes and be deterministic.  A `thread_scaling`
@@ -244,10 +244,7 @@ fn bench_substrate_speedup(_c: &mut Criterion) {
     let mut sections: Vec<String> = Vec::new();
     // Honor the shim's quick mode (`BENCH_QUICK=1`): single rep per
     // measurement instead of best-of-3.
-    let reps = if std::env::var("BENCH_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
+    let reps = if bgc_bench::output::quick_mode() {
         1
     } else {
         3
@@ -411,12 +408,14 @@ fn bench_substrate_speedup(_c: &mut Criterion) {
 
     sections.push(format!("  \"threads\": {}", rayon::current_num_threads()));
     let json = format!("{{\n{}\n}}\n", sections.join(",\n"));
-    // benches run with cwd = crate root (crates/bench); record at the
-    // workspace root.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_substrate.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("substrate_speedup: wrote {}", path),
-        Err(err) => eprintln!("substrate_speedup: could not write {}: {}", path, err),
+    let path = bgc_bench::output::output_path("BENCH_substrate.json");
+    match std::fs::write(&path, &json) {
+        Ok(()) => println!("substrate_speedup: wrote {}", path.display()),
+        Err(err) => eprintln!(
+            "substrate_speedup: could not write {}: {}",
+            path.display(),
+            err
+        ),
     }
     // Recorded, not asserted: a loaded or low-IPC machine should not turn a
     // measurement into a bench failure. The checked-in BENCH_substrate.json

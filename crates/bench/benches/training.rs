@@ -1,7 +1,8 @@
 //! Training-engine benchmark: epochs/sec and tape-buffer bytes allocated
 //! per epoch for Cora-GCN training, pooled engine vs the historical
 //! fresh-tape-per-epoch engine.  Results are written to
-//! `BENCH_training.json` at the workspace root.
+//! `BENCH_training.json` at the workspace root (`target/bench-quick/` under
+//! `BENCH_QUICK=1`, see `bgc_bench::output`).
 //!
 //! Two gates run when the bench executes (CI runs it with `BENCH_QUICK=1`):
 //!
@@ -157,10 +158,11 @@ fn committed_epochs_per_second(text: &str) -> Option<f64> {
 }
 
 fn bench_training_engine(_c: &mut Criterion) {
-    let quick = std::env::var("BENCH_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    let reps = if quick { 1 } else { 3 };
+    let reps = if bgc_bench::output::quick_mode() {
+        1
+    } else {
+        3
+    };
 
     let pooled = best_of(reps, true);
     let fresh = best_of(reps, false);
@@ -183,8 +185,9 @@ fn bench_training_engine(_c: &mut Criterion) {
     );
 
     // Soft gate: compare against the committed baseline before overwriting.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_training.json");
-    if let Ok(previous) = fs::read_to_string(path) {
+    if let Ok(previous) =
+        fs::read_to_string(bgc_bench::output::committed_path("BENCH_training.json"))
+    {
         if let Some(baseline) = committed_epochs_per_second(&previous) {
             let ratio = pooled.epochs_per_second / baseline;
             if ratio < 0.8 {
@@ -223,8 +226,9 @@ fn bench_training_engine(_c: &mut Criterion) {
     );
     json.push('}');
     json.push('\n');
-    if let Err(err) = fs::write(path, &json) {
-        eprintln!("warning: could not write BENCH_training.json: {}", err);
+    let path = bgc_bench::output::output_path("BENCH_training.json");
+    if let Err(err) = fs::write(&path, &json) {
+        eprintln!("warning: could not write {}: {}", path.display(), err);
     }
 
     // Hard gates (machine-independent).

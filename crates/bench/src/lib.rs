@@ -11,6 +11,7 @@
 
 pub mod cli;
 pub mod daemon;
+pub mod output;
 pub mod scaling;
 
 pub use cli::{forward, report_runner_stats, CliError, HELP};

@@ -21,6 +21,7 @@ pub mod error;
 pub mod labels;
 pub mod matching;
 pub mod methods;
+pub mod propagation;
 pub mod sntk;
 pub mod structure;
 
@@ -31,5 +32,6 @@ pub use methods::{
     condenser_names, register_condenser, resolve_condenser, working_graph, CondensationKind,
     CondensationMethod, MethodId,
 };
+pub use propagation::IncrementalPropagation;
 pub use sntk::{condense_sntk, sntk_kernel, SntkPredictor};
 pub use structure::StructureGenerator;

@@ -209,14 +209,20 @@ impl GradientMatchingState {
         self.epochs_done
     }
 
+    /// Propagation steps of the real-graph representation: `K` for GCond /
+    /// GCond-X, 0 for DC-Graph, which matches on raw features.
+    pub fn real_propagation_steps(&self) -> usize {
+        if self.variant.propagates_real_features() {
+            self.config.propagation_steps
+        } else {
+            0
+        }
+    }
+
     /// Real-graph representation the gradients are computed on: raw features
     /// for DC-Graph, `Â^K X` for GCond / GCond-X.
     pub fn real_representation(&self, graph: &Graph) -> Matrix {
-        if self.variant.propagates_real_features() {
-            graph.propagated_features(self.config.propagation_steps)
-        } else {
-            (*graph.features).clone()
-        }
+        graph.propagated_features(self.real_propagation_steps())
     }
 
     /// Draws a fresh random surrogate initialization (gradient matching is
@@ -331,6 +337,7 @@ impl GradientMatchingState {
 
     /// Same as [`GradientMatchingState::step`] but with a precomputed real
     /// representation (avoids re-propagating when the caller already has it).
+    /// Only `graph`'s labels and training split are read.
     pub fn step_with_real_representation(&mut self, graph: &Graph, z_real: &Matrix) -> f32 {
         assert_eq!(
             z_real.cols(),

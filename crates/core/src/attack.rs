@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 
 use bgc_condense::{
     working_graph, CondensationKind, CondensationMethod, CondenseError, GradientMatchingState,
-    MatchingVariant,
+    IncrementalPropagation, MatchingVariant,
 };
 use bgc_graph::{CondensedGraph, Graph};
 use bgc_nn::{Adam, AdjacencyRef, Optimizer};
@@ -74,21 +74,43 @@ impl BgcAttack {
     /// the final poisoned graph is then condensed with the method itself (the
     /// adaptation is documented in DESIGN.md); the method's capacity check
     /// preserves the OOM behaviour of GC-SNTK.
+    ///
+    /// The poisoned graph `G_P` keeps one structure for the whole loop; only
+    /// its trigger rows (the last `|V_P| · trigger_size` rows of `X`) change
+    /// between epochs. So `Â^K X` is propagated in full once, and later
+    /// epochs recompute only the dirty rows of each step
+    /// ([`IncrementalPropagation`]): step 0's rows with a non-zero in a
+    /// trigger column, step `s + 1`'s rows with a non-zero in a column dirty
+    /// at step `s`. Every other row reads only unchanged inputs, and a
+    /// recomputed row repeats the full product's accumulation sequence, so
+    /// the representation is bit-identical to propagating `G_P` from scratch.
+    ///
+    /// Fails with [`BgcError::NoPoisonCandidates`] when selection finds no
+    /// node to poison, e.g. a directed attack whose source class has no
+    /// training nodes.
     pub fn run_with(
         &self,
         graph: &Graph,
         method: &dyn CondensationMethod,
+    ) -> Result<BgcOutcome, BgcError> {
+        self.run_observed(graph, method, &mut |_, _, _| {})
+    }
+
+    /// [`BgcAttack::run_with`], calling `observe(poisoned, trigger_features,
+    /// z_real)` after each outer epoch's propagation. `poisoned` holds the
+    /// structure, labels and split of `G_P` with its first epoch's features.
+    fn run_observed(
+        &self,
+        graph: &Graph,
+        method: &dyn CondensationMethod,
+        observe: &mut dyn FnMut(&Graph, &Matrix, &Matrix),
     ) -> Result<BgcOutcome, BgcError> {
         let work = working_graph(graph);
         if work.split.train.is_empty() {
             return Err(CondenseError::NoTrainingNodes.into());
         }
         method.check_capacity(&work, &self.config.condensation)?;
-        let selection = select_poisoned_nodes(&work, &self.config);
-        assert!(
-            !selection.poisoned_nodes.is_empty(),
-            "poisoned node selection returned no nodes"
-        );
+        let selection = select_poisoned_nodes(&work, &self.config)?;
         let mut rng = rng_from_seed(self.config.seed ^ 0xb6c);
         let mut generator = TriggerGenerator::with_feature_scale(
             self.config.generator,
@@ -115,11 +137,9 @@ impl BgcAttack {
             .iter()
             .map(|p| Matrix::zeros(p.rows(), p.cols()))
             .collect();
-        // The poisoned graph's structure (trigger attachment pattern,
-        // labels, split, normalization) is fixed across epochs — only the
-        // trigger features evolve — so it is assembled once and reused with
-        // replaced features afterwards.
-        let mut poisoned_structure: Option<Graph> = None;
+        // `G_P` (assembled on the first epoch) and the propagation state
+        // that carries its current trigger rows.
+        let mut poisoned_state: Option<(Graph, IncrementalPropagation)> = None;
 
         for epoch in 0..self.config.condensation.outer_epochs {
             bgc_runtime::checkpoint();
@@ -151,24 +171,24 @@ impl BgcAttack {
                 &work.features,
                 &selection.poisoned_nodes,
             );
-            let poisoned = match &poisoned_structure {
-                Some(template) => {
-                    template.with_replaced_features(work.features.vstack(&trigger_features))
-                }
-                None => {
-                    let built = build_poisoned_graph(
-                        &work,
-                        &selection.poisoned_nodes,
-                        &trigger_features,
-                        self.config.trigger_size,
-                        self.config.target_class,
-                    );
-                    poisoned_structure = Some(built.clone());
-                    built
-                }
-            };
+            let (poisoned, propagation) = poisoned_state.get_or_insert_with(|| {
+                let built = build_poisoned_graph(
+                    &work,
+                    &selection.poisoned_nodes,
+                    &trigger_features,
+                    self.config.trigger_size,
+                    self.config.target_class,
+                );
+                let triggers = work.num_nodes()..built.num_nodes();
+                let propagation =
+                    IncrementalPropagation::new(&built, triggers, state.real_propagation_steps());
+                (built, propagation)
+            });
+            propagation.set_changing_rows(&trigger_features);
+            let z_real = propagation.representation();
+            observe(poisoned, &trigger_features, z_real);
             // (iv) one condensed-graph update against G_P (Eq. 18).
-            matching_losses.push(state.step(&poisoned));
+            matching_losses.push(state.step_with_real_representation(poisoned, z_real));
         }
 
         let condensed = if method.matching_variant().is_none() {
@@ -320,6 +340,45 @@ mod tests {
         // Poisoned nodes never come from the target class.
         for &p in &outcome.poisoned_nodes {
             assert_ne!(outcome.working_graph.labels[p], attack.config.target_class);
+        }
+    }
+
+    #[test]
+    fn incremental_representation_is_bit_identical_to_full_propagation() {
+        let graph = DatasetKind::Cora.load_small(24);
+        for kind in [CondensationKind::GCondX, CondensationKind::GCond] {
+            for steps in 1..=3 {
+                let mut config = tiny_config();
+                config.condensation.outer_epochs = 4;
+                config.condensation.propagation_steps = steps;
+                let mut epochs = 0;
+                BgcAttack::new(config)
+                    .run_observed(
+                        &graph,
+                        kind.build().as_ref(),
+                        &mut |poisoned, triggers, z| {
+                            // The former per-epoch path: stack the clean rows
+                            // over the current triggers and propagate G_P anew.
+                            let clean = poisoned.num_nodes() - triggers.rows();
+                            let rows: Vec<usize> = (0..clean).collect();
+                            let features = poisoned.features.select_rows(&rows).vstack(triggers);
+                            let want = poisoned
+                                .with_replaced_features(features)
+                                .propagated_features(steps);
+                            let bits = |m: &Matrix| {
+                                m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                            };
+                            assert_eq!(
+                                bits(z),
+                                bits(&want),
+                                "{kind:?}, K = {steps}, epoch {epochs}"
+                            );
+                            epochs += 1;
+                        },
+                    )
+                    .expect("attack should run");
+                assert_eq!(epochs, 4);
+            }
         }
     }
 

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 
 use bgc_condense::{
     working_graph, CondensationKind, CondensationMethod, CondenseError, GradientMatchingState,
-    MatchingVariant,
+    IncrementalPropagation, MatchingVariant,
 };
 use bgc_graph::{CondensedGraph, Graph};
 use bgc_nn::{Adam, Optimizer};
@@ -134,7 +134,7 @@ impl DoorpingAttack {
             return Err(CondenseError::NoTrainingNodes.into());
         }
         method.check_capacity(&work, &self.config.condensation)?;
-        let selection = select_poisoned_nodes(&work, &self.config);
+        let selection = select_poisoned_nodes(&work, &self.config)?;
         let mut rng = rng_from_seed(self.config.seed ^ 0xd00);
         let mut trigger = randn(
             self.config.trigger_size,
@@ -150,8 +150,9 @@ impl DoorpingAttack {
         let mut cache = BTreeMap::new();
         let mut tape = Tape::new();
         let trigger_zero_grad = Matrix::zeros(trigger.rows(), trigger.cols());
-        // Fixed poisoned structure across epochs (see `BgcAttack::run_with`).
-        let mut poisoned_structure: Option<Graph> = None;
+        // `G_P` (assembled on the first epoch) and the propagation state
+        // that carries its current trigger rows (see `BgcAttack::run_with`).
+        let mut poisoned_state: Option<(Graph, IncrementalPropagation)> = None;
         for epoch in 0..self.config.condensation.outer_epochs {
             if epoch % self.config.condensation.surrogate_resample_every == 0 {
                 state.resample_surrogate();
@@ -178,21 +179,21 @@ impl DoorpingAttack {
                 .iter()
                 .skip(1)
                 .fold(rows[0].clone(), |acc, m| acc.vstack(m));
-            let poisoned = match &poisoned_structure {
-                Some(template) => template.with_replaced_features(work.features.vstack(&stacked)),
-                None => {
-                    let built = build_poisoned_graph(
-                        &work,
-                        &selection.poisoned_nodes,
-                        &stacked,
-                        self.config.trigger_size,
-                        self.config.target_class,
-                    );
-                    poisoned_structure = Some(built.clone());
-                    built
-                }
-            };
-            state.step(&poisoned);
+            let (poisoned, propagation) = poisoned_state.get_or_insert_with(|| {
+                let built = build_poisoned_graph(
+                    &work,
+                    &selection.poisoned_nodes,
+                    &stacked,
+                    self.config.trigger_size,
+                    self.config.target_class,
+                );
+                let triggers = work.num_nodes()..built.num_nodes();
+                let propagation =
+                    IncrementalPropagation::new(&built, triggers, state.real_propagation_steps());
+                (built, propagation)
+            });
+            propagation.set_changing_rows(&stacked);
+            state.step_with_real_representation(poisoned, propagation.representation());
         }
         let condensed = if method.matching_variant().is_none() {
             let mut rows = Vec::with_capacity(selection.poisoned_nodes.len());

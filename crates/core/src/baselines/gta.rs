@@ -89,7 +89,7 @@ impl GtaAttack {
             return Err(CondenseError::NoTrainingNodes.into());
         }
         method.check_capacity(&work, &self.config.condensation)?;
-        let selection = select_poisoned_nodes(&work, &self.config);
+        let selection = select_poisoned_nodes(&work, &self.config)?;
         let mut rng = rng_from_seed(self.config.seed ^ 0x67b);
         let mut generator = TriggerGenerator::with_feature_scale(
             self.config.generator,

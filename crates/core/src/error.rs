@@ -25,6 +25,9 @@ pub enum BgcError {
     UnknownDataset(String),
     /// An experiment description failed validation (builder / CLI).
     InvalidExperiment(String),
+    /// Poisoned-node selection found no eligible node (e.g. a directed
+    /// attack whose source class has no training nodes).
+    NoPoisonCandidates(String),
     /// An attack that needs the clean condensed reference ran without one.
     MissingCleanReference {
         /// Name of the offending attack.
@@ -88,6 +91,7 @@ impl BgcError {
     pub fn is_cell_failure(&self) -> bool {
         match self {
             BgcError::Condense(_)
+            | BgcError::NoPoisonCandidates(_)
             | BgcError::CellPanicked { .. }
             | BgcError::CellTimedOut { .. }
             | BgcError::Io(_) => true,
@@ -126,6 +130,9 @@ impl fmt::Display for BgcError {
             BgcError::UnknownDefense(name) => write!(f, "unknown defense '{}'", name),
             BgcError::UnknownDataset(name) => write!(f, "unknown dataset '{}'", name),
             BgcError::InvalidExperiment(msg) => write!(f, "invalid experiment: {}", msg),
+            BgcError::NoPoisonCandidates(reason) => {
+                write!(f, "no poisoned nodes could be selected: {}", reason)
+            }
             BgcError::MissingCleanReference { attack } => write!(
                 f,
                 "attack '{}' needs the clean condensed reference but none was provided",

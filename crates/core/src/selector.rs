@@ -12,11 +12,12 @@ use rand::Rng;
 
 use bgc_graph::Graph;
 use bgc_nn::models::Gcn;
-use bgc_nn::{train_with_plan, AdjacencyRef, GnnModel, TrainConfig, TrainingPlan};
+use bgc_nn::{train_with_plan, AdjacencyRef, TrainConfig, TrainingPlan};
 use bgc_tensor::init::rng_from_seed;
 use bgc_tensor::{Matrix, Tape};
 
 use crate::config::{BgcConfig, SelectionStrategy};
+use crate::error::BgcError;
 use crate::kmeans::kmeans;
 
 /// Outcome of poisoned-node selection.
@@ -102,33 +103,46 @@ fn selector_representations_uncached(
     // original graph; `FullBatch` is byte-identical to the historical
     // `train_node_classifier` call.
     train_with_plan(&mut gcn, graph, &train_cfg, plan, config.seed ^ 0x3a1f);
-    let preds = gcn.predict(&adj, &graph.features);
+    // One forward pass yields both the predictions and the hidden layer.
+    let mut tape = Tape::new();
+    let x = tape.const_leaf(graph.features.clone());
+    let (pass, hidden) = gcn.forward_with_hidden(&mut tape, &adj, x);
+    let preds = tape.value_ref(pass.logits).argmax_rows();
     let train_labels: Vec<usize> = graph.labels_of(&graph.split.train);
     let train_preds: Vec<usize> = graph.split.train.iter().map(|&i| preds[i]).collect();
     let acc = bgc_nn::accuracy(&train_preds, &train_labels);
-
-    let mut tape = Tape::new();
-    let x = tape.const_leaf(graph.features.clone());
-    let (_, hidden) = gcn.forward_with_hidden(&mut tape, &adj, x);
     (tape.value_ref(hidden).clone(), acc)
 }
 
 /// Selects the poisoned node set `V_P` according to the configured strategy.
 ///
 /// Nodes of the target class are never selected (they already carry the target
-/// label), matching the `C - 1` term of the budget formula.
-pub fn select_poisoned_nodes(graph: &Graph, config: &BgcConfig) -> SelectionResult {
+/// label), matching the `C - 1` term of the budget formula. Fails with
+/// [`BgcError::NoPoisonCandidates`] when no node can be selected, e.g. for a
+/// directed attack whose source class has no training nodes.
+pub fn select_poisoned_nodes(
+    graph: &Graph,
+    config: &BgcConfig,
+) -> Result<SelectionResult, BgcError> {
     let budget = config
         .poison_budget
         .resolve(graph.split.train.len())
         .min(graph.split.train.len());
-    match config.selection {
+    let selection = match config.selection {
         SelectionStrategy::Random => random_selection(graph, config, budget),
-        SelectionStrategy::Representative => representative_selection(graph, config, budget, None),
+        SelectionStrategy::Representative => representative_selection(graph, config, budget, None)?,
         SelectionStrategy::DirectedFrom(source) => {
-            representative_selection(graph, config, budget, Some(source))
+            representative_selection(graph, config, budget, Some(source))?
         }
+    };
+    if selection.poisoned_nodes.is_empty() {
+        return Err(BgcError::NoPoisonCandidates(format!(
+            "{:?} selection found none among {} training nodes",
+            config.selection,
+            graph.split.train.len()
+        )));
     }
+    Ok(selection)
 }
 
 fn random_selection(graph: &Graph, config: &BgcConfig, budget: usize) -> SelectionResult {
@@ -162,11 +176,7 @@ fn representative_selection(
     config: &BgcConfig,
     budget: usize,
     source_class: Option<usize>,
-) -> SelectionResult {
-    let (hidden, selector_acc) = selector_representations(graph, config);
-    let degrees = graph.degrees();
-    let mut rng: StdRng = rng_from_seed(config.seed ^ 0x6b6d);
-
+) -> Result<SelectionResult, BgcError> {
     // Classes eligible for poisoning.
     let classes: Vec<usize> = match source_class {
         Some(c) => vec![c],
@@ -174,10 +184,15 @@ fn representative_selection(
             .filter(|&c| c != config.target_class)
             .collect(),
     };
-    assert!(
-        !classes.is_empty(),
-        "no class is eligible for poisoning (check target/source classes)"
-    );
+    if classes.is_empty() {
+        return Err(BgcError::NoPoisonCandidates(format!(
+            "no class other than the target class {} is eligible",
+            config.target_class
+        )));
+    }
+    let (hidden, selector_acc) = selector_representations(graph, config);
+    let degrees = graph.degrees();
+    let mut rng: StdRng = rng_from_seed(config.seed ^ 0x6b6d);
     let k = config.kmeans_clusters.max(1);
     // n = Delta_P / ((C - 1) * K), at least 1 (Section IV-B).
     let per_cluster = (budget as f32 / (classes.len() * k) as f32).ceil() as usize;
@@ -219,11 +234,11 @@ fn representative_selection(
     scored.truncate(budget);
     let scores: Vec<f32> = scored.iter().map(|&(s, _)| s).collect();
     let poisoned_nodes: Vec<usize> = scored.into_iter().map(|(_, n)| n).collect();
-    SelectionResult {
+    Ok(SelectionResult {
         poisoned_nodes,
         scores,
         selector_train_accuracy: selector_acc,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -243,7 +258,7 @@ mod tests {
         let graph = DatasetKind::Cora.load_small(7);
         let mut config = quick_config();
         config.poison_budget = PoisonBudget::Count(10);
-        let result = select_poisoned_nodes(&graph, &config);
+        let result = select_poisoned_nodes(&graph, &config).unwrap();
         assert!(result.poisoned_nodes.len() <= 10);
         assert!(!result.poisoned_nodes.is_empty());
         for &node in &result.poisoned_nodes {
@@ -269,8 +284,8 @@ mod tests {
         rep_cfg.poison_budget = PoisonBudget::Count(8);
         let mut rand_cfg = rep_cfg.clone();
         rand_cfg.selection = SelectionStrategy::Random;
-        let rep = select_poisoned_nodes(&graph, &rep_cfg);
-        let rnd = select_poisoned_nodes(&graph, &rand_cfg);
+        let rep = select_poisoned_nodes(&graph, &rep_cfg).unwrap();
+        let rnd = select_poisoned_nodes(&graph, &rand_cfg).unwrap();
         assert_eq!(rnd.poisoned_nodes.len(), 8);
         assert_ne!(rep.poisoned_nodes, rnd.poisoned_nodes);
         for &node in &rnd.poisoned_nodes {
@@ -285,7 +300,7 @@ mod tests {
         config.poison_budget = PoisonBudget::Count(6);
         config.selection = SelectionStrategy::DirectedFrom(2);
         config.target_class = 0;
-        let result = select_poisoned_nodes(&graph, &config);
+        let result = select_poisoned_nodes(&graph, &config).unwrap();
         assert!(!result.poisoned_nodes.is_empty());
         for &node in &result.poisoned_nodes {
             assert_eq!(graph.labels[node], 2);
@@ -297,8 +312,8 @@ mod tests {
         let graph = DatasetKind::Cora.load_small(5);
         let mut config = quick_config();
         config.poison_budget = PoisonBudget::Count(6);
-        let a = select_poisoned_nodes(&graph, &config);
-        let b = select_poisoned_nodes(&graph, &config);
+        let a = select_poisoned_nodes(&graph, &config).unwrap();
+        let b = select_poisoned_nodes(&graph, &config).unwrap();
         assert_eq!(a.poisoned_nodes, b.poisoned_nodes);
     }
 }

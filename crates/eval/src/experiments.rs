@@ -618,6 +618,46 @@ mod tests {
     }
 
     #[test]
+    fn directed_attack_without_source_training_nodes_fails_typed() {
+        use crate::runner::CellStatus;
+        // At base seed 6 the quick Cora graph of table 6's directed GCond
+        // cell has 28 training nodes and none of source class 1: the cell
+        // must fail with a typed error, not panic.
+        let runner = Runner::in_memory(ExperimentScale::Quick)
+            .serial()
+            .with_base_seed(6);
+        let ratio = DatasetKind::Cora.paper_condensation_ratios()[1];
+        let directed = runner.group(
+            DatasetKind::Cora,
+            CondensationKind::GCond,
+            AttackKind::Bgc,
+            ratio,
+            EvalKind::Standard,
+            CellOverrides {
+                source_class: Some(1),
+                ..CellOverrides::default()
+            },
+        );
+        let report = runner.run_cells(&directed.keys);
+        assert!(
+            report.outcomes.iter().all(|o| matches!(
+                &o.status,
+                CellStatus::Failed(BgcError::NoPoisonCandidates(_))
+            )),
+            "{:?}",
+            report
+                .outcomes
+                .iter()
+                .map(|o| &o.status)
+                .collect::<Vec<_>>()
+        );
+        assert!(matches!(
+            table6(&runner),
+            Err(BgcError::NoPoisonCandidates(_))
+        ));
+    }
+
+    #[test]
     fn regenerators_declare_overlapping_cells() {
         // Table II and Figure 1 both contain the (cora, GCond, r[1], BGC)
         // cell — the declarative grid makes the overlap structural, which is

@@ -293,8 +293,8 @@ impl Graph {
     /// The same graph with a replacement feature matrix (same node count):
     /// adjacency, normalization, labels and split are shared by `Arc` /
     /// clone instead of being rebuilt.  This is the per-epoch path of the
-    /// BGC/DOORPING attack loops, whose poisoned graph keeps a fixed
-    /// structure while the trigger features evolve.
+    /// DOORPING attack loop, whose poisoned graph keeps a fixed structure
+    /// while the trigger features evolve.
     pub fn with_replaced_features(&self, features: Matrix) -> Graph {
         assert_eq!(
             features.rows(),

@@ -10,9 +10,11 @@
 //!   the column loop written with `chunks_exact` so LLVM autovectorizes it
 //!   (each output lane is an independent accumulation — no floating-point
 //!   reassociation is required, unlike a dot-product formulation).
-//!   `transpose_matmul` and `matmul_transpose` are expressed as a blocked
-//!   transpose *pack* ([`transpose_into`]) followed by the same kernel, so
-//!   every variant shares one tuned code path.
+//!   `matmul_transpose` is a blocked transpose *pack* of `B`
+//!   ([`transpose_into`]) followed by the same kernel. `transpose_matmul`
+//!   runs [`gemm_tn`], which never materializes `Aᵀ`: each output block
+//!   packs only its own `MC x KC` tile of `Aᵀ` per depth step and hands it
+//!   to the same block kernel, so every variant shares one tuned code path.
 //! * **Parallelism over output row-blocks.** Each rayon task owns `MC`
 //!   consecutive output rows (a disjoint `&mut` chunk of `C`), so no
 //!   synchronization is needed and the floating-point evaluation order —
@@ -393,11 +395,78 @@ pub fn gemm_scalar(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut
     }
 }
 
+/// Dense `C = Aᵀ · B` without materializing `Aᵀ`.
+///
+/// `a` is `r x m`, `b` is `r x n`, `out` is `m x n` and must be zeroed (or
+/// hold a partial sum to accumulate onto). Each `MC`-row output block packs
+/// only its `mb x KC` tile of `Aᵀ` per depth step and runs the shared
+/// [`gemm_block`] on it. Because `KC % KU == 0`, every tile boundary falls on
+/// a depth-group boundary, so each output element sees the same sequence of
+/// updates as [`transpose_into`] followed by [`gemm`]: the results are
+/// bit-identical, and the pack is spread over the parallel blocks instead of
+/// running serially over the whole operand first. Parallel above
+/// [`PAR_GEMM_WORK`] multiply-adds, like [`gemm`].
+pub fn gemm_tn(r: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    let parallel = r * m * n >= PAR_GEMM_WORK && rayon::current_num_threads() > 1;
+    gemm_tn_blocks(r, m, n, a, b, out, parallel);
+}
+
+/// Serial-only variant of [`gemm_tn`] (the reference side of its
+/// serial-vs-parallel bit-identity test).
+#[doc(hidden)]
+pub fn gemm_tn_serial(r: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    gemm_tn_blocks(r, m, n, a, b, out, false);
+}
+
+fn gemm_tn_blocks(
+    r: usize,
+    m: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    parallel: bool,
+) {
+    debug_assert_eq!(a.len(), r * m);
+    debug_assert_eq!(b.len(), r * n);
+    debug_assert_eq!(out.len(), m * n);
+    if m == 0 || n == 0 || r == 0 {
+        return;
+    }
+    let block = |blk: usize, c_block: &mut [f32]| {
+        let i0 = blk * MC;
+        let mb = c_block.len() / n;
+        // Sized to the depth actually used, so tiny shapes do not zero a
+        // full `MC x KC` tile.
+        let mut tile = vec![0.0f32; mb * KC.min(r)];
+        for k0 in (0..r).step_by(KC) {
+            let kb = KC.min(r - k0);
+            let tile = &mut tile[..mb * kb];
+            for kk in 0..kb {
+                let src = &a[(k0 + kk) * m + i0..][..mb];
+                for (i, &v) in src.iter().enumerate() {
+                    tile[i * kb + kk] = v;
+                }
+            }
+            gemm_block(tile, kb, n, &b[k0 * n..(k0 + kb) * n], c_block);
+        }
+    };
+    if parallel {
+        out.par_chunks_mut(MC * n)
+            .enumerate()
+            .for_each(|(blk, c_block)| block(blk, c_block));
+    } else {
+        for (blk, c_block) in out.chunks_mut(MC * n).enumerate() {
+            block(blk, c_block);
+        }
+    }
+}
+
 /// Cache-blocked transpose: writes the `cols x rows` transpose of the
 /// row-major `rows x cols` matrix `src` into `dst`.
 ///
 /// Used both as the public transpose and as the pack step that lets
-/// `transpose_matmul` / `matmul_transpose` share the [`gemm`] kernel.
+/// `matmul_transpose` share the [`gemm`] kernel.
 pub fn transpose_into(rows: usize, cols: usize, src: &[f32], dst: &mut [f32]) {
     debug_assert_eq!(src.len(), rows * cols);
     debug_assert_eq!(dst.len(), rows * cols);
@@ -875,6 +944,43 @@ mod tests {
                 dispatched, scalar,
                 "simd gemm diverged from scalar at ({}, {}, {})",
                 m, k, n
+            );
+        }
+    }
+
+    #[test]
+    fn gemm_tn_is_bit_identical_to_pack_then_gemm() {
+        // (r, m, n): empty operands, r % KU != 0, r > KC, m % MC != 0,
+        // n < LANES (narrow path), n > NC, and products above
+        // PAR_GEMM_WORK so multi-core machines take the parallel path.
+        for &(r, m, n) in &[
+            (0, 3, 4),
+            (3, 0, 4),
+            (3, 4, 0),
+            (1, 1, 1),
+            (7, 5, 3),
+            (130, 65, 7),
+            (257, 64, 9),
+            (129, 33, 513),
+            (1030, 130, 5),
+            (517, 66, 520),
+        ] {
+            let a = fill(r * m, 31);
+            let b = fill(r * n, 32);
+            let mut packed = vec![0.0; r * m];
+            transpose_into(r, m, &a, &mut packed);
+            let mut want = vec![0.0; m * n];
+            gemm_serial(m, r, n, &packed, &b, &mut want);
+            let mut serial = vec![0.0; m * n];
+            gemm_tn_serial(r, m, n, &a, &b, &mut serial);
+            let mut dispatched = vec![0.0; m * n];
+            gemm_tn(r, m, n, &a, &b, &mut dispatched);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&serial), bits(&want), "serial at ({r}, {m}, {n})");
+            assert_eq!(
+                bits(&dispatched),
+                bits(&want),
+                "dispatched at ({r}, {m}, {n})"
             );
         }
     }

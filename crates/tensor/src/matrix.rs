@@ -12,11 +12,10 @@ use std::cell::RefCell;
 use std::fmt;
 
 thread_local! {
-    /// Reusable transpose-pack scratch for [`Matrix::transpose_matmul`] and
-    /// [`Matrix::matmul_transpose`].  Both helpers run in the training hot
-    /// loop (every backward pass packs a gradient operand); without reuse
-    /// each call pays a fresh multi-megabyte zeroed allocation whose page
-    /// faults dominate the pack itself.
+    /// Reusable transpose-pack scratch for [`Matrix::matmul_transpose`],
+    /// which runs in the training hot loop; without reuse each call pays a
+    /// fresh multi-megabyte zeroed allocation whose page faults dominate
+    /// the pack itself.
     static PACK_BUFFER: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -340,10 +339,10 @@ impl Matrix {
         out
     }
 
-    /// Computes `self^T * other` through the shared blocked kernel: the
-    /// left operand is transpose-packed (cache-blocked copy), then the
-    /// product runs as a plain [`crate::kernel::gemm`]. The pack is `O(r*m)`
-    /// against `O(r*m*n)` compute, and buys the vectorized/parallel kernel.
+    /// Computes `self^T * other` through [`crate::kernel::gemm_tn`]: each
+    /// parallel output block packs only its own tile of `self^T` and runs the
+    /// shared blocked kernel, bit-identical to packing the whole transpose
+    /// first.
     pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
@@ -351,17 +350,14 @@ impl Matrix {
             self.rows, other.rows
         );
         let mut out = Matrix::zeros(self.cols, other.cols);
-        with_pack_buffer(self.data.len(), |packed| {
-            kernel::transpose_into(self.rows, self.cols, &self.data, packed);
-            kernel::gemm(
-                self.cols,
-                self.rows,
-                other.cols,
-                packed,
-                &other.data,
-                &mut out.data,
-            );
-        });
+        kernel::gemm_tn(
+            self.rows,
+            self.cols,
+            other.cols,
+            &self.data,
+            &other.data,
+            &mut out.data,
+        );
         out
     }
 
@@ -757,6 +753,25 @@ mod tests {
         let via_helper = a.transpose_matmul(&b);
         let via_explicit = a.transpose().matmul(&b);
         assert!(via_helper.approx_eq(&via_explicit, 1e-6));
+    }
+
+    #[test]
+    fn transpose_matmul_is_bit_identical_to_pack_then_gemm() {
+        use crate::init::{randn, rng_from_seed};
+        let mut rng = rng_from_seed(7);
+        // (r, m, n) covering r > KC, r % KU != 0, m % MC != 0, n < LANES and
+        // n > NC.
+        for &(r, m, n) in &[(300, 70, 7), (517, 66, 520), (5, 3, 2)] {
+            let a = randn(r, m, 0.0, 1.0, &mut rng);
+            let b = randn(r, n, 0.0, 1.0, &mut rng);
+            let mut packed = vec![0.0; r * m];
+            kernel::transpose_into(r, m, a.data(), &mut packed);
+            let mut want = Matrix::zeros(m, n);
+            kernel::gemm_serial(m, r, n, &packed, b.data(), want.data_mut());
+            let got = a.transpose_matmul(&b);
+            let bits = |x: &Matrix| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "({r}, {m}, {n})");
+        }
     }
 
     #[test]

@@ -471,6 +471,39 @@ impl CsrMatrix {
         });
     }
 
+    /// Recomputes only the listed rows of `out = self * dense`, leaving every
+    /// other row of `out` as it is.
+    ///
+    /// Each listed row is zeroed and then accumulated by the row loop of
+    /// [`CsrMatrix::spmm`] (`kernel::axpy` over the row's entries in CSR
+    /// order), so it is bit-identical to the same row of a full product.
+    pub fn spmm_rows_into(&self, rows: &[usize], dense: &Matrix, out: &mut Matrix) {
+        assert_eq!(
+            self.cols,
+            dense.rows(),
+            "spmm_rows_into: inner dimensions differ ({}x{} * {}x{})",
+            self.rows,
+            self.cols,
+            dense.rows(),
+            dense.cols()
+        );
+        assert_eq!(
+            out.shape(),
+            (self.rows, dense.cols()),
+            "spmm_rows_into: output shape {:?} does not match {}x{}",
+            out.shape(),
+            self.rows,
+            dense.cols()
+        );
+        for &r in rows {
+            let out_row = out.row_mut(r);
+            out_row.fill(0.0);
+            for (c, v) in self.row_iter(r) {
+                kernel::axpy(out_row, v, dense.row(c));
+            }
+        }
+    }
+
     /// Test hooks: the serial reference and the forced-partition path of
     /// [`CsrMatrix::spmm`], exposed so bit-identity can be checked on any
     /// machine regardless of its thread count or the work threshold.
@@ -668,6 +701,34 @@ mod tests {
         // The public entry point (whatever path it picks on this machine)
         // must agree too.
         assert_eq!(serial.data(), block.spmm(&x).data());
+    }
+
+    #[test]
+    fn row_subset_spmm_is_bit_identical_to_full_rows() {
+        let mut triplets = Vec::new();
+        for r in 0..97usize {
+            for k in 0..1 + (r * 5) % 9 {
+                let c = (r * 31 + k * 13) % 97;
+                triplets.push((r, c, 1.0 / (1.0 + (r * 89 + c) as f32)));
+            }
+        }
+        let a = CsrMatrix::from_triplets(97, 97, &triplets);
+        let x = Matrix::from_fn(97, 19, |r, c| ((r * 23 + c * 11) % 53) as f32 / 5.3 - 5.0);
+        let full = a.spmm(&x);
+        // Untouched rows keep their (sentinel) contents; listed rows are
+        // overwritten with exactly the full product's bits.
+        let rows = [0usize, 3, 4, 50, 96];
+        let mut out = Matrix::from_fn(97, 19, |_, _| 7.0);
+        a.spmm_rows_into(&rows, &x, &mut out);
+        for r in 0..97 {
+            let want: Vec<u32> = if rows.contains(&r) {
+                full.row(r).iter().map(|v| v.to_bits()).collect()
+            } else {
+                vec![7.0f32.to_bits(); 19]
+            };
+            let got: Vec<u32> = out.row(r).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "row {r}");
+        }
     }
 
     #[test]

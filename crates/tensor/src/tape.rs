@@ -1198,18 +1198,15 @@ fn matmul_transpose_pooled(pool: &mut BufferPool, a: &Matrix, b: &Matrix) -> Mat
 /// Pooled `a^T * b` (the backward rule of [`Op::MatMul`]'s right operand).
 fn transpose_matmul_pooled(pool: &mut BufferPool, a: &Matrix, b: &Matrix) -> Matrix {
     debug_assert_eq!(a.rows(), b.rows());
-    let mut packed = pool.raw(a.cols(), a.rows());
-    kernel::transpose_into(a.rows(), a.cols(), a.data(), packed.data_mut());
     let mut out = pool.zeros(a.cols(), b.cols());
-    kernel::gemm(
-        a.cols(),
+    kernel::gemm_tn(
         a.rows(),
+        a.cols(),
         b.cols(),
-        packed.data(),
+        a.data(),
         b.data(),
         out.data_mut(),
     );
-    pool.recycle(packed);
     out
 }
 
@@ -1282,6 +1279,30 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn matmul_weight_gradient_is_bit_identical_to_pack_then_gemm() {
+        // dW = Xᵀ·dY goes through the tape's pooled `transpose_matmul`;
+        // with loss = sum(mask ⊙ XW) the upstream gradient is exactly `mask`.
+        let mut rng = rng_from_seed(9);
+        let (r, m, n) = (300, 70, 9);
+        let x = randn(r, m, 0.0, 1.0, &mut rng);
+        let w = randn(m, n, 0.0, 1.0, &mut rng);
+        let mask = randn(r, n, 0.0, 1.0, &mut rng);
+        let mut tape = Tape::new();
+        let xv = tape.constant(x.clone());
+        let wv = tape.leaf(w);
+        let y = tape.matmul(xv, wv);
+        let masked = tape.hadamard_const(y, Arc::new(mask.clone()));
+        let loss = tape.sum_all(masked);
+        let grads = tape.backward(loss);
+        let mut packed = vec![0.0; r * m];
+        kernel::transpose_into(r, m, x.data(), &mut packed);
+        let mut want = Matrix::zeros(m, n);
+        kernel::gemm_serial(m, r, n, &packed, mask.data(), want.data_mut());
+        let bits = |v: &Matrix| v.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(grads.get(wv).unwrap()), bits(&want));
     }
 
     #[test]

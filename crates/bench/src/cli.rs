@@ -2,10 +2,8 @@
 //! reproduction.
 //!
 //! Subcommands drive the typed [`Experiment`] builder and the experiment-grid
-//! [`Runner`]; the 13 historical `exp_*` binaries are thin wrappers that
-//! forward to [`forward`] (e.g. `exp_table2` == `bgc table 2`), so both
-//! spellings execute the identical code path and produce byte-identical
-//! reports and cell caches.
+//! [`Runner`], in process; finished cells and stages persist in the
+//! content-addressed artifact store.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -22,8 +20,6 @@ use bgc_graph::{DatasetKind, PoisonBudget};
 use bgc_nn::{GnnArchitecture, SampledPlan, TrainingPlan};
 use bgc_store::{Store, StoreReport};
 use serde::Value;
-
-use crate::daemon;
 
 /// The `bgc --help` text.  Snapshotted in `docs/cli-help.txt` (checked by a
 /// unit test and by CI), so help drift is caught at review time.
@@ -43,8 +39,6 @@ COMMANDS:
                     architectures|generators|scales
     lint            Check workspace invariants (determinism, panic-safety,
                     fault-point hygiene); see docs/lint.md
-    daemon <start|stop|status|ping>
-                    Manage the warm-cache bgcd daemon; see docs/daemon.md
     store <stats|gc|doctor|clear>
                     Inspect or maintain the content-addressed artifact
                     store; see docs/store.md
@@ -56,21 +50,21 @@ GLOBAL OPTIONS:
                           the paper's full node counts with sampled plans)
     --full                Include all four datasets in sweeps at quick scale
     --serial              Disable the cell thread pool (bit-identical output)
-    --no-cache            Disable the on-disk cell cache and artifact store
+    --no-cache            Disable the artifact store (cells and stages stay
+                          in memory)
+    --store-dir <dir>     Artifact store root (default: target/store, or
+                          BGC_STORE_DIR when set)
     --keep-going          Complete the rest of the grid around failed cells
                           (every failure is reported; exit code 3)
     --cell-timeout <s>    Per-cell deadline in seconds; cells past it are
                           cooperatively cancelled and reported as timed out
     --retries <n>         Retry retriable cell failures (caught panics, I/O
                           errors) up to n extra attempts (default: 0)
-    --format human|json   run/grid/all output format (default: human); json
-                          emits the machine-readable grid report document
+    --format human|json   run/grid/table/fig/all output format (default:
+                          human); json emits the machine-readable grid
+                          report as one compact JSON document
     --deadline <s>        Whole-invocation deadline in seconds; cells past it
                           are cancelled and reported as timed out
-    --daemon[=auto|require]
-                          Execute run/grid/all on the bgcd daemon (warm
-                          caches across invocations); auto falls back to
-                          in-process when no daemon is up, require fails
 
 EXPERIMENT OPTIONS (run; repeatable in grid):
     --dataset <name>      cora|citeseer|flickr|reddit|arxiv (required for run)
@@ -93,9 +87,6 @@ EXPERIMENT OPTIONS (run; repeatable in grid):
     --batch-size <n>      Sampled-plan minibatch size (implies --plan sampled)
     --fanouts <f1xf2...>  Sampled-plan per-layer fanout caps, 0 = unbounded
                           (implies --plan sampled)
-    --prefetch-depth <n>  Sampled-training prefetch pipeline depth (batches
-                          kept ready ahead of the trainer; 0 = synchronous,
-                          default: 2; results are bit-identical at any depth)
     --seed <n>            Base seed (default: 17)
 
 LINT OPTIONS (lint):
@@ -106,16 +97,9 @@ LINT OPTIONS (lint):
     --root <dir>          Workspace root (default: the nearest ancestor
                           directory containing Cargo.toml and crates/)
 
-DAEMON OPTIONS (daemon):
-    --socket <path>       Daemon socket path (default: target/bgcd.sock, or
-                          BGC_DAEMON_SOCKET when set)
-    --foreground          daemon start: serve in this process instead of
-                          spawning a background bgcd
-
-STORE OPTIONS (store):
-    --store-dir <dir>     Store root (default: target/store, or
-                          BGC_STORE_DIR when set); --format json renders
-                          the report through the shared JSON codec
+STORE OPTIONS (store; --store-dir selects the root):
+    --format human|json   Output format (default: human); json renders the
+                          report through the shared JSON codec
 
 EXIT CODES:
     0  success                  3  cell failure(s) (panic/timeout/error)
@@ -126,12 +110,12 @@ EXIT CODES:
 FAULT INJECTION (testing and CI):
     BGC_FAULTS=\"point[@ctx][#n]=panic|io|delay:<ms>[;...]\" arms
     deterministic faults at named points: trainer.epoch, condense.outer,
-    stage.clean, stage.attack, runner.persist, runner.load, daemon.accept,
-    daemon.request, daemon.persist, store.read, store.write, store.lock,
+    stage.clean, stage.attack, store.read, store.write, store.lock,
     sampler.produce.
     @ctx fires only in cells whose canonical key contains ctx; #n fires on
     the nth matching hit (default 1).  Each fault fires exactly once, so
-    retries and re-runs heal.
+    retries and re-runs heal.  A cell already in the store is served
+    without running its stages, so stage faults need an empty store.
     Example: BGC_FAULTS=\"stage.clean@citeseer=panic\"
 
 EXAMPLES:
@@ -145,8 +129,7 @@ EXAMPLES:
     bgc list attacks
     bgc lint --format json
     bgc store stats
-    bgc daemon start
-    bgc all --scale quick --daemon    (second run hits the warm caches)
+    bgc all --scale quick             (a second run is served from the store)
 ";
 
 /// A CLI failure: either a usage error (bad flag/operand, reported with a
@@ -209,18 +192,6 @@ pub struct CliOutcome {
     pub lint_stale: usize,
 }
 
-impl CliOutcome {
-    fn from_runner(runner: &Runner) -> Self {
-        let (completed, oom) = runner.completed_counts();
-        Self {
-            cell_failures: runner.failure_count(),
-            completed,
-            oom,
-            ..Self::default()
-        }
-    }
-}
-
 /// Maps a finished invocation to its exit code (see `EXIT_*`).
 pub fn exit_code(result: &Result<CliOutcome, CliError>) -> i32 {
     match result {
@@ -242,15 +213,6 @@ pub fn main() -> ! {
     exit_with(run(&args))
 }
 
-/// Entry point of the `exp_*` wrapper binaries: prepends the wrapped
-/// subcommand (e.g. `["table", "2"]`) to the invocation's own arguments and
-/// runs the CLI, so wrappers and `bgc` share one code path.
-pub fn forward(prefix: &[&str]) -> ! {
-    let mut args: Vec<String> = prefix.iter().map(|s| s.to_string()).collect();
-    args.extend(std::env::args().skip(1));
-    exit_with(run(&args))
-}
-
 fn exit_with(result: Result<CliOutcome, CliError>) -> ! {
     if let Err(err) = &result {
         eprintln!("error: {}", err);
@@ -264,35 +226,19 @@ pub fn run(args: &[String]) -> Result<CliOutcome, CliError> {
     let command = args.next().unwrap_or("help");
     let rest: Vec<&str> = args.collect();
     match command {
-        "run" => route(&rest, "run", cmd_run),
-        "grid" => route(&rest, "grid", cmd_grid),
+        "run" => cmd_run(&rest),
+        "grid" => cmd_grid(&rest),
         "table" => cmd_report(&rest, ReportFamily::Table),
         "fig" => cmd_report(&rest, ReportFamily::Fig),
-        "all" => route(&rest, "all", cmd_all),
+        "all" => cmd_all(&rest),
         "list" => cmd_list(&rest),
         "lint" => cmd_lint(&rest),
-        "daemon" => daemon::cmd_daemon(&rest),
-        "store" => route(&rest, "store", cmd_store),
+        "store" => cmd_store(&rest),
         "help" | "--help" | "-h" => {
             print!("{}", HELP);
             Ok(CliOutcome::default())
         }
         other => Err(CliError::Usage(format!("unknown command '{}'", other))),
-    }
-}
-
-/// Routes `run`/`grid`/`all` either to the in-process implementation or,
-/// under `--daemon`, to a running `bgcd` (with in-process fallback in
-/// `auto` mode when no daemon is reachable).
-fn route(
-    rest: &[&str],
-    command: &str,
-    local: fn(&[&str]) -> Result<CliOutcome, CliError>,
-) -> Result<CliOutcome, CliError> {
-    let options = parse_options(rest)?;
-    match options.daemon {
-        None => local(rest),
-        Some(mode) => daemon::exec_remote_or(command, rest, &options, mode, local),
     }
 }
 
@@ -302,26 +248,17 @@ fn route(
 
 /// Output format of `run`/`grid`/`all` (`--format`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum OutputFormat {
+enum OutputFormat {
     /// Table rows plus the grid/wall-clock footer.
     Human,
     /// One machine-readable grid-report document (shared report codec).
     Json,
 }
 
-/// How `--daemon` routes `run`/`grid`/`all` (see [`crate::daemon`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum DaemonMode {
-    /// Use a running daemon; fall back to in-process when none is up.
-    Auto,
-    /// Use a running daemon; error when none is reachable.
-    Require,
-}
-
 /// Parsed flags shared by every subcommand.  `run` reads the singular
 /// experiment fields; `grid` reads the repeated ones; reports read only the
 /// globals.
-pub(crate) struct Options {
+struct Options {
     scale: ExperimentScale,
     full: bool,
     serial: bool,
@@ -330,8 +267,7 @@ pub(crate) struct Options {
     cell_timeout: Option<Duration>,
     retries: Option<usize>,
     format: OutputFormat,
-    pub(crate) deadline: Option<Duration>,
-    pub(crate) daemon: Option<DaemonMode>,
+    deadline: Option<Duration>,
     datasets: Vec<DatasetKind>,
     methods: Vec<String>,
     attacks: Vec<String>,
@@ -347,17 +283,16 @@ pub(crate) struct Options {
     plan: Option<TrainingPlan>,
     batch_size: Option<usize>,
     fanouts: Option<Vec<usize>>,
-    prefetch_depth: Option<usize>,
     seed: Option<u64>,
     store_dir: Option<String>,
     operands: Vec<String>,
 }
 
-pub(crate) fn usage(msg: impl Into<String>) -> CliError {
+fn usage(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
 }
 
-pub(crate) fn parse_options(args: &[&str]) -> Result<Options, CliError> {
+fn parse_options(args: &[&str]) -> Result<Options, CliError> {
     let mut options = Options {
         scale: ExperimentScale::Quick,
         full: false,
@@ -368,7 +303,6 @@ pub(crate) fn parse_options(args: &[&str]) -> Result<Options, CliError> {
         retries: None,
         format: OutputFormat::Human,
         deadline: None,
-        daemon: None,
         datasets: Vec::new(),
         methods: Vec::new(),
         attacks: Vec::new(),
@@ -384,7 +318,6 @@ pub(crate) fn parse_options(args: &[&str]) -> Result<Options, CliError> {
         plan: None,
         batch_size: None,
         fanouts: None,
-        prefetch_depth: None,
         seed: None,
         store_dir: None,
         operands: Vec::new(),
@@ -430,12 +363,6 @@ pub(crate) fn parse_options(args: &[&str]) -> Result<Options, CliError> {
                     return Err(usage("--deadline expects a positive number of seconds"));
                 }
                 options.deadline = Some(Duration::from_secs_f64(seconds));
-            }
-            "--daemon" | "--daemon=auto" => options.daemon = Some(DaemonMode::Auto),
-            "--daemon=require" => options.daemon = Some(DaemonMode::Require),
-            flag if flag.starts_with("--daemon=") => {
-                let hint = "expected --daemon, --daemon=auto or --daemon=require";
-                return Err(usage(format!("unknown daemon mode '{}' ({})", flag, hint)));
             }
             "--dataset" => options
                 .datasets
@@ -493,10 +420,6 @@ pub(crate) fn parse_options(args: &[&str]) -> Result<Options, CliError> {
                 }
                 options.fanouts = Some(fanouts);
             }
-            "--prefetch-depth" => {
-                options.prefetch_depth =
-                    Some(parse_num(value("--prefetch-depth")?, "--prefetch-depth")?)
-            }
             "--seed" => options.seed = Some(parse_num(value("--seed")?, "--seed")?),
             "--store-dir" => options.store_dir = Some(value("--store-dir")?.to_string()),
             flag if flag.starts_with("--") => {
@@ -513,27 +436,23 @@ fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, CliError
         .map_err(|_| usage(format!("{} got a malformed value '{}'", flag, text)))
 }
 
-fn build_runner(options: &Options) -> Result<Runner, CliError> {
-    match FaultPlan::from_env() {
-        Ok(plan) => Ok(configure_runner(options, plan)),
-        Err(err) => Err(usage(format!("malformed BGC_FAULTS: {}", err))),
+/// The store root of an invocation: `--store-dir`, else the default.
+fn store_root(options: &Options) -> std::path::PathBuf {
+    match &options.store_dir {
+        Some(dir) => std::path::PathBuf::from(dir),
+        None => bgc_store::default_store_root(),
     }
 }
 
-/// Builds a runner from the parsed runner-level flags and an explicit fault
-/// plan (the in-process path arms `BGC_FAULTS` via [`build_runner`]; the
-/// daemon arms the plan it was started with).
-pub(crate) fn configure_runner(options: &Options, fault_plan: Option<FaultPlan>) -> Runner {
-    if let Some(depth) = options.prefetch_depth {
-        // Process-wide training-side tuning knob: results are bit-identical
-        // at every depth, so this never affects cell identity or caching.
-        bgc_nn::pipeline::set_default_prefetch_depth(depth);
+/// Builds the invocation's runner from the parsed runner-level flags and
+/// `BGC_FAULTS`.
+fn build_runner(options: &Options) -> Result<Runner, CliError> {
+    let fault_plan =
+        FaultPlan::from_env().map_err(|err| usage(format!("malformed BGC_FAULTS: {}", err)))?;
+    let mut runner = Runner::in_memory(options.scale);
+    if !options.no_cache {
+        runner = runner.with_store(Some(Store::open(store_root(options))));
     }
-    let mut runner = if options.no_cache {
-        Runner::in_memory(options.scale)
-    } else {
-        Runner::new(options.scale)
-    };
     if options.serial {
         runner = runner.serial();
     }
@@ -549,22 +468,7 @@ pub(crate) fn configure_runner(options: &Options, fault_plan: Option<FaultPlan>)
     if let Some(plan) = fault_plan {
         runner = runner.with_fault_plan(plan);
     }
-    runner
-}
-
-/// The runner-level configuration of an invocation, as a stable key.  The
-/// daemon keeps one warm runner per distinct key, since a runner's scale,
-/// caching and fault-tolerance settings are fixed at construction.
-pub(crate) fn runner_config_key(options: &Options) -> String {
-    format!(
-        "scale={}|no_cache={}|serial={}|keep_going={}|cell_timeout_ms={:?}|retries={:?}",
-        options.scale.name(),
-        options.no_cache,
-        options.serial,
-        options.keep_going,
-        options.cell_timeout.map(|t| t.as_millis()),
-        options.retries,
-    )
+    Ok(runner)
 }
 
 // ---------------------------------------------------------------------------
@@ -649,43 +553,9 @@ fn resolve_plan(options: &Options) -> Result<Option<TrainingPlan>, BgcError> {
     Ok(plan)
 }
 
-/// Where a subcommand's stdout lines go: the process stdout for a CLI
-/// invocation, the response stream of a daemon request for remote
-/// execution.  Routing output through the sink is what makes daemon
-/// results byte-identical to in-process ones.
-pub(crate) struct OutputSink<'a> {
-    remote: Option<&'a (dyn Fn(&str) + Sync)>,
-}
-
-impl<'a> OutputSink<'a> {
-    /// The process's stdout.
-    pub(crate) fn stdout() -> OutputSink<'static> {
-        OutputSink { remote: None }
-    }
-
-    /// A remote sink receiving each stdout line (without its newline).
-    pub(crate) fn remote(sink: &'a (dyn Fn(&str) + Sync)) -> Self {
-        OutputSink { remote: Some(sink) }
-    }
-
-    fn line(&self, text: &str) {
-        match self.remote {
-            None => println!("{}", text),
-            Some(sink) => sink(text),
-        }
-    }
-
-    /// Emits a multi-line block (e.g. a rendered report) line by line.
-    fn block(&self, text: &str) {
-        for line in text.lines() {
-            self.line(line);
-        }
-    }
-}
-
-fn print_rows(out: &OutputSink, rows: &[RunMetrics]) {
+fn print_rows(rows: &[RunMetrics]) {
     for row in rows {
-        out.line(&row.table_row());
+        println!("{}", row.table_row());
     }
 }
 
@@ -695,14 +565,11 @@ fn print_rows(out: &OutputSink, rows: &[RunMetrics]) {
 fn invocation_wave(options: &Options, collector: &Arc<OutcomeCollector>) -> WaveCtx {
     WaveCtx {
         deadline: options.deadline.map(CancelToken::with_timeout),
-        transient: false,
         observer: Some(collector.observer()),
     }
 }
 
-/// Exit-code classification from the cells this invocation observed (not
-/// the runner's lifetime counters, which accumulate across daemon
-/// requests).
+/// Exit-code classification from the cells this invocation observed.
 fn outcome_from(collector: &OutcomeCollector) -> CliOutcome {
     let (completed, oom, failures) = collector.counts();
     CliOutcome {
@@ -716,13 +583,7 @@ fn outcome_from(collector: &OutcomeCollector) -> CliOutcome {
 /// Emits the machine-readable grid-report document of `--format json`:
 /// per-cell status/attempts/results (deterministic), the runner's cache
 /// counters and the invocation outcome (execution metadata).
-fn emit_json(
-    out: &OutputSink,
-    command: &str,
-    runner: &Runner,
-    collector: &OutcomeCollector,
-    started: Instant,
-) {
+fn emit_json(command: &str, runner: &Runner, collector: &OutcomeCollector, started: Instant) {
     let (completed, oom, failures) = collector.counts();
     let doc = Value::Object(vec![
         ("command".to_string(), Value::String(command.to_string())),
@@ -748,23 +609,12 @@ fn emit_json(
             Value::Number(started.elapsed().as_secs_f64()),
         ),
     ]);
-    out.block(&doc.to_json_string_pretty());
+    println!("{}", doc.to_json_string());
 }
 
 fn cmd_run(args: &[&str]) -> Result<CliOutcome, CliError> {
     let options = parse_options(args)?;
     let runner = build_runner(&options)?;
-    exec_run(&options, &runner, &OutputSink::stdout())
-}
-
-/// `bgc run` past parsing and runner construction — shared verbatim by the
-/// CLI and the daemon handler (which supplies a warm runner and a remote
-/// sink).
-pub(crate) fn exec_run(
-    options: &Options,
-    runner: &Runner,
-    out: &OutputSink,
-) -> Result<CliOutcome, CliError> {
     if !options.operands.is_empty() {
         return Err(usage(format!(
             "unexpected operand '{}'",
@@ -780,7 +630,7 @@ pub(crate) fn exec_run(
         ));
     }
     let experiment = experiment_for(
-        options,
+        &options,
         options.datasets[0],
         options.methods.first().map(String::as_str),
         options.attacks.first().map(String::as_str),
@@ -788,24 +638,17 @@ pub(crate) fn exec_run(
     )?;
     let started = Instant::now();
     let collector = OutcomeCollector::new();
-    let group = experiment.group(runner)?;
+    let group = experiment.group(&runner)?;
     let metrics = {
-        let _wave = enter_wave(invocation_wave(options, &collector));
-        // Submit through `run_cells` like the grid path: `metrics` alone
-        // resolves already-completed cells on its read-back path without
-        // entering the wave, which would leave a warm runner repeat (the
-        // daemon) with no observed outcomes and an empty JSON cell list.
-        if let Some(err) = runner.run_cells(&group.keys).error() {
-            return Err(CliError::Bgc(err));
-        }
+        let _wave = enter_wave(invocation_wave(&options, &collector));
         runner.metrics(&group)?
     };
     match options.format {
         OutputFormat::Human => {
-            print_rows(out, std::slice::from_ref(&metrics));
-            report_runner_stats_to(out, runner, started);
+            print_rows(std::slice::from_ref(&metrics));
+            report_runner_stats(&runner, started);
         }
-        OutputFormat::Json => emit_json(out, "run", runner, &collector, started),
+        OutputFormat::Json => emit_json("run", &runner, &collector, started),
     }
     Ok(outcome_from(&collector))
 }
@@ -813,15 +656,6 @@ pub(crate) fn exec_run(
 fn cmd_grid(args: &[&str]) -> Result<CliOutcome, CliError> {
     let options = parse_options(args)?;
     let runner = build_runner(&options)?;
-    exec_grid(&options, &runner, &OutputSink::stdout())
-}
-
-/// `bgc grid` past parsing and runner construction (see [`exec_run`]).
-pub(crate) fn exec_grid(
-    options: &Options,
-    runner: &Runner,
-    out: &OutputSink,
-) -> Result<CliOutcome, CliError> {
     if !options.operands.is_empty() {
         return Err(usage(format!(
             "unexpected operand '{}'",
@@ -853,7 +687,7 @@ pub(crate) fn exec_grid(
         for method in &methods {
             for attack in &attacks {
                 for ratio in &ratios {
-                    experiments.push(experiment_for(options, dataset, *method, *attack, *ratio)?);
+                    experiments.push(experiment_for(&options, dataset, *method, *attack, *ratio)?);
                 }
             }
         }
@@ -861,10 +695,10 @@ pub(crate) fn exec_grid(
     let started = Instant::now();
     let collector = OutcomeCollector::new();
     let (report, rows) = {
-        let _wave = enter_wave(invocation_wave(options, &collector));
+        let _wave = enter_wave(invocation_wave(&options, &collector));
         let groups = experiments
             .iter()
-            .map(|e| e.group(runner))
+            .map(|e| e.group(&runner))
             .collect::<Result<Vec<_>, _>>()
             .map_err(CliError::Bgc)?;
         let report = runner
@@ -882,20 +716,15 @@ pub(crate) fn exec_grid(
         }
         (report, rows)
     };
+    if !report.is_ok() {
+        eprintln!("-- grid outcome: {}", report.summary());
+    }
     match options.format {
         OutputFormat::Human => {
-            print_rows(out, &rows);
-            if !report.is_ok() {
-                eprintln!("-- grid outcome: {}", report.summary());
-            }
-            report_runner_stats_to(out, runner, started);
+            print_rows(&rows);
+            report_runner_stats(&runner, started);
         }
-        OutputFormat::Json => {
-            if !report.is_ok() {
-                eprintln!("-- grid outcome: {}", report.summary());
-            }
-            emit_json(out, "grid", runner, &collector, started);
-        }
+        OutputFormat::Json => emit_json("grid", &runner, &collector, started),
     }
     Ok(outcome_from(&collector))
 }
@@ -909,6 +738,7 @@ enum ReportFamily {
     Fig,
 }
 
+/// `bgc table <n>` / `bgc fig <n>`: one report of `bgc all`'s list.
 fn cmd_report(args: &[&str], family: ReportFamily) -> Result<CliOutcome, CliError> {
     let options = parse_options(args)?;
     let (label, numbers) = match family {
@@ -919,85 +749,69 @@ fn cmd_report(args: &[&str], family: ReportFamily) -> Result<CliOutcome, CliErro
         return Err(usage(format!("{} expects one number ({})", label, numbers)));
     }
     let number: u32 = parse_num(&options.operands[0], label)?;
-    let runner = build_runner(&options)?;
-    let started = Instant::now();
-    let full = options.full;
-    let report = match (family, number) {
-        (ReportFamily::Table, 1) => experiments::table1(runner.scale()),
-        (ReportFamily::Table, 2) => experiments::table2(&runner, full),
-        (ReportFamily::Table, 3) => experiments::table3(&runner, full),
-        (ReportFamily::Table, 4) => experiments::table4(&runner, full),
-        (ReportFamily::Table, 5) => experiments::table5(&runner),
-        (ReportFamily::Table, 6) => experiments::table6(&runner),
-        (ReportFamily::Table, 7) => experiments::table7(&runner, full),
-        (ReportFamily::Table, 8) => experiments::table8(&runner, full),
-        (ReportFamily::Fig, 1) => experiments::fig1(&runner),
-        (ReportFamily::Fig, 4) => experiments::fig4(&runner, full),
-        (ReportFamily::Fig, 5) => experiments::fig5(&runner),
-        (ReportFamily::Fig, 6) => experiments::fig6(&runner, full),
-        (ReportFamily::Fig, 8) => experiments::fig8(&runner),
-        _ => {
-            return Err(usage(format!(
-                "no such {}: {} (expected {})",
-                label, number, numbers
-            )))
-        }
-    }?;
-    report.print_and_save();
-    report_runner_stats(&runner, started);
-    Ok(CliOutcome::from_runner(&runner))
+    let name = format!("{} {}", label, number);
+    if !REPORTS.contains(&name.as_str()) {
+        return Err(usage(format!(
+            "no such {}: {} (expected {})",
+            label, number, numbers
+        )));
+    }
+    regenerate_reports(&options, &name, &[name.as_str()])
 }
 
-/// A deferred report regenerator of `bgc all` (deferring lets `--keep-going`
-/// announce a failed report and move on to the next one).
-type Regenerator<'a> = Box<dyn Fn() -> Result<bgc_eval::ExperimentReport, BgcError> + 'a>;
+/// Every report, in `bgc all`'s order.
+const REPORTS: [&str; 13] = [
+    "table 1", "fig 1", "table 2", "fig 4", "table 3", "table 4", "fig 5", "table 5", "table 6",
+    "fig 6", "table 7", "table 8", "fig 8",
+];
 
 fn cmd_all(args: &[&str]) -> Result<CliOutcome, CliError> {
     let options = parse_options(args)?;
-    let runner = build_runner(&options)?;
-    exec_all(&options, &runner, &OutputSink::stdout())
-}
-
-/// `bgc all` past parsing and runner construction (see [`exec_run`]).
-pub(crate) fn exec_all(
-    options: &Options,
-    runner: &Runner,
-    out: &OutputSink,
-) -> Result<CliOutcome, CliError> {
     if !options.operands.is_empty() {
         return Err(usage(format!(
             "unexpected operand '{}'",
             options.operands[0]
         )));
     }
+    regenerate_reports(&options, "all", &REPORTS)
+}
+
+/// Regenerates the named reports (names from [`REPORTS`]) through one
+/// shared runner, saving each under `target/experiments/`.  Under
+/// `--keep-going` a failed report is announced and the remaining reports
+/// still regenerate (cells that failed stay failed on this runner, so
+/// reports sharing them fail fast instead of re-running).
+fn regenerate_reports(
+    options: &Options,
+    command: &str,
+    names: &[&str],
+) -> Result<CliOutcome, CliError> {
+    let runner = &build_runner(options)?;
     let full = options.full;
     let started = Instant::now();
     let collector = OutcomeCollector::new();
     let _wave = enter_wave(invocation_wave(options, &collector));
-
-    // Under --keep-going a failed report is announced and the remaining
-    // reports still regenerate (cells that failed stay failed on this
-    // runner, so reports sharing them fail fast instead of re-running).
-    let reports: Vec<(&str, Regenerator)> = vec![
-        ("table 1", Box::new(|| experiments::table1(runner.scale()))),
-        ("fig 1", Box::new(|| experiments::fig1(runner))),
-        ("table 2", Box::new(|| experiments::table2(runner, full))),
-        ("fig 4", Box::new(|| experiments::fig4(runner, full))),
-        ("table 3", Box::new(|| experiments::table3(runner, full))),
-        ("table 4", Box::new(|| experiments::table4(runner, full))),
-        ("fig 5", Box::new(|| experiments::fig5(runner))),
-        ("table 5", Box::new(|| experiments::table5(runner))),
-        ("table 6", Box::new(|| experiments::table6(runner))),
-        ("fig 6", Box::new(|| experiments::fig6(runner, full))),
-        ("table 7", Box::new(|| experiments::table7(runner, full))),
-        ("table 8", Box::new(|| experiments::table8(runner, full))),
-        ("fig 8", Box::new(|| experiments::fig8(runner))),
-    ];
-    for (name, regenerate) in reports {
-        match regenerate() {
+    for &name in names {
+        let report = match name {
+            "table 1" => experiments::table1(runner.scale()),
+            "fig 1" => experiments::fig1(runner),
+            "table 2" => experiments::table2(runner, full),
+            "fig 4" => experiments::fig4(runner, full),
+            "table 3" => experiments::table3(runner, full),
+            "table 4" => experiments::table4(runner, full),
+            "fig 5" => experiments::fig5(runner),
+            "table 5" => experiments::table5(runner),
+            "table 6" => experiments::table6(runner),
+            "fig 6" => experiments::fig6(runner, full),
+            "table 7" => experiments::table7(runner, full),
+            "table 8" => experiments::table8(runner, full),
+            "fig 8" => experiments::fig8(runner),
+            other => return Err(usage(format!("no such report: {}", other))),
+        };
+        match report {
             Ok(report) => {
                 if options.format == OutputFormat::Human {
-                    out.block(&report.render());
+                    print!("{}", report.render());
                 }
                 report.save();
             }
@@ -1009,8 +823,8 @@ pub(crate) fn exec_all(
     }
 
     match options.format {
-        OutputFormat::Human => report_runner_stats_to(out, runner, started),
-        OutputFormat::Json => emit_json(out, "all", runner, &collector, started),
+        OutputFormat::Human => report_runner_stats(runner, started),
+        OutputFormat::Json => emit_json(command, runner, &collector, started),
     }
     Ok(outcome_from(&collector))
 }
@@ -1155,24 +969,15 @@ fn lint_outcome(report: &bgc_lint::LintReport) -> CliOutcome {
 // store
 // ---------------------------------------------------------------------------
 
+/// `bgc store <stats|gc|doctor|clear>`.  Administrative scans iterate in
+/// sorted name order, so the rendered report is deterministic for a given
+/// store state.
 fn cmd_store(args: &[&str]) -> Result<CliOutcome, CliError> {
     let options = parse_options(args)?;
-    exec_store(&options, &OutputSink::stdout())
-}
-
-/// `bgc store <stats|gc|doctor|clear>` past parsing — shared by the CLI and
-/// the daemon handler (which streams the report lines back to the client),
-/// like [`exec_run`].  Administrative scans iterate in sorted name order,
-/// so the rendered report is deterministic for a given store state.
-pub(crate) fn exec_store(options: &Options, out: &OutputSink) -> Result<CliOutcome, CliError> {
     if options.operands.len() != 1 {
         return Err(usage("store expects one of: stats, gc, doctor, clear"));
     }
-    let root = match &options.store_dir {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => bgc_store::default_store_root(),
-    };
-    let store = Store::open(root);
+    let store = Store::open(store_root(&options));
     let report = match options.operands[0].as_str() {
         "stats" => store.stats(),
         "gc" => store.gc(),
@@ -1187,10 +992,11 @@ pub(crate) fn exec_store(options: &Options, out: &OutputSink) -> Result<CliOutco
     }
     .map_err(|err| CliError::Bgc(BgcError::invalid(format!("bgc store: {}", err))))?;
     match options.format {
-        OutputFormat::Human => out.block(&render_store_report(&report)),
-        OutputFormat::Json => {
-            out.block(&report_json::store_report_value(&report).to_json_string_pretty())
-        }
+        OutputFormat::Human => println!("{}", render_store_report(&report)),
+        OutputFormat::Json => println!(
+            "{}",
+            report_json::store_report_value(&report).to_json_string_pretty()
+        ),
     }
     Ok(CliOutcome::default())
 }
@@ -1229,17 +1035,13 @@ fn render_store_report(report: &StoreReport) -> String {
 /// invocation (stdout only — the per-report JSON dumps stay byte-identical
 /// across cached re-runs).
 pub fn report_runner_stats(runner: &Runner, started: Instant) {
-    report_runner_stats_to(&OutputSink::stdout(), runner, started);
-}
-
-fn report_runner_stats_to(out: &OutputSink, runner: &Runner, started: Instant) {
     let stats = runner.stats();
-    out.line(&format!("-- grid: {}", stats.summary()));
-    out.line(&format!(
+    println!("-- grid: {}", stats.summary());
+    println!(
         "-- wall clock: {:.2}s ({} total cache hits)",
         started.elapsed().as_secs_f64(),
         stats.total_hits()
-    ));
+    );
 }
 
 #[cfg(test)]

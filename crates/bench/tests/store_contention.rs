@@ -1,7 +1,8 @@
 //! Multi-process contention test of the content-addressed artifact store:
 //! N concurrent `bgc run` subprocesses over one shared, cold store must
-//! produce byte-identical results, compute each stage artifact exactly
-//! once (single-flight), and leave no orphan temp or lock files behind.
+//! produce byte-identical results, compute the cell and each stage artifact
+//! exactly once (single-flight), and leave no orphan temp or lock files
+//! behind.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -72,12 +73,15 @@ fn concurrent_runs_share_one_store_with_exactly_once_computation() {
         })
         .collect();
 
-    // Exactly-once stage computation: across all processes the two stage
-    // artifacts (clean condensation + attack) were computed exactly once
-    // in total; nothing fell back to degraded in-process compute.
+    // Exactly-once computation: across all processes the cell artifact and
+    // the two stage artifacts (clean condensation + attack) were computed
+    // exactly once in total; nothing fell back to degraded in-process
+    // compute.
     let computed: u64 = docs.iter().map(|doc| stat(doc, "store_computed")).sum();
     let degraded: u64 = docs.iter().map(|doc| stat(doc, "store_degraded")).sum();
-    assert_eq!(computed, 2, "each stage artifact is computed exactly once");
+    assert_eq!(computed, 3, "each artifact is computed exactly once");
+    let cells: u64 = docs.iter().map(|doc| stat(doc, "cells_computed")).sum();
+    assert_eq!(cells, 1, "the cell is computed exactly once");
     assert_eq!(degraded, 0, "no process degraded to storeless compute");
 
     // Byte-identical results: every process reports the same cell canon
@@ -96,18 +100,18 @@ fn concurrent_runs_share_one_store_with_exactly_once_computation() {
         assert_eq!(result, &results[0], "results are byte-identical");
     }
 
-    // The store holds exactly the two live artifacts — no orphan temp
+    // The store holds exactly the three live artifacts — no orphan temp
     // files, no leaked locks, nothing quarantined.
     let mut files = store_files(&dir);
     files.sort();
-    assert_eq!(files.len(), 2, "two live artifacts: {:?}", files);
+    assert_eq!(files.len(), 3, "three live artifacts: {:?}", files);
     assert!(
         files.iter().all(|name| name.ends_with(".art")),
         "no orphan .tmp/.lock/.corrupt files: {:?}",
         files
     );
 
-    // A warm follow-up run hits both artifacts and computes nothing.
+    // A warm follow-up run hits the cell artifact and computes nothing.
     let output = bgc(&dir)
         .args(["run", "--dataset", "cora", "--serial", "--format", "json"])
         .output()

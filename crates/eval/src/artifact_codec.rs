@@ -1,6 +1,6 @@
 //! Binary codecs for the artifacts the runner persists in the
-//! content-addressed store: clean condensed graphs and attack outputs
-//! (condensed graph + trigger-provider snapshot).
+//! content-addressed store: clean condensed graphs, attack outputs
+//! (condensed graph + trigger-provider snapshot) and finished cells.
 //!
 //! The encoding is fixed-width little-endian with `f32` values carried by
 //! their IEEE-754 bits, so a decoded artifact is bit-identical to the
@@ -18,6 +18,8 @@ use std::sync::Arc;
 use bgc_core::{AttackArtifacts, GeneratorKind, GeneratorSnapshot, TriggerSnapshot};
 use bgc_graph::CondensedGraph;
 use bgc_tensor::Matrix;
+
+use crate::runner::CellResult;
 
 /// Format version embedded in every encoded artifact; bump on layout
 /// changes so stale artifacts fail decoding and recompute.
@@ -301,11 +303,51 @@ pub fn decode_attack(bytes: &[u8]) -> Option<AttackArtifacts> {
     })
 }
 
+// ---------------------------------------------------------------------------
+// Finished cells
+// ---------------------------------------------------------------------------
+
+/// Encodes a finished cell: the four metrics as `f32` bit patterns (NaN
+/// payloads included), `asr_nodes` as `u64` and `oom` as one 0/1 byte.
+pub fn encode_cell(result: &CellResult) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + 4 * 4 + 8 + 1);
+    put_u32(&mut out, CODEC_VERSION);
+    for v in [result.c_cta, result.cta, result.c_asr, result.asr] {
+        put_f32(&mut out, v);
+    }
+    put_u64(&mut out, result.asr_nodes as u64);
+    out.push(u8::from(result.oom));
+    out
+}
+
+/// Decodes a finished cell; `None` on any malformation (wrong length or
+/// version, an `oom` byte other than 0 or 1).
+pub fn decode_cell(bytes: &[u8]) -> Option<CellResult> {
+    let mut cur = Cursor::new(bytes);
+    if cur.u32()? != CODEC_VERSION {
+        return None;
+    }
+    let result = CellResult {
+        c_cta: cur.f32()?,
+        cta: cur.f32()?,
+        c_asr: cur.f32()?,
+        asr: cur.f32()?,
+        asr_nodes: usize::try_from(cur.u64()?).ok()?,
+        oom: match cur.u8()? {
+            0 => false,
+            1 => true,
+            _ => return None,
+        },
+    };
+    cur.finished().then_some(result)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use bgc_core::{TriggerGenerator, TriggerProvider, UniversalTrigger};
     use bgc_tensor::init::{randn, rng_from_seed};
+    use proptest::prelude::*;
 
     fn toy_condensed() -> CondensedGraph {
         let mut rng = rng_from_seed(11);
@@ -416,5 +458,66 @@ mod tests {
         };
         bad_tag[prefix] = 99;
         assert!(decode_attack(&bad_tag).is_none());
+    }
+
+    fn bits(r: &CellResult) -> (u32, u32, u32, u32, usize, bool) {
+        (
+            r.c_cta.to_bits(),
+            r.cta.to_bits(),
+            r.c_asr.to_bits(),
+            r.asr.to_bits(),
+            r.asr_nodes,
+            r.oom,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every cell result round-trips bit for bit — NaN payloads, signed
+        /// zeros and `oom` included — and every strict prefix or extension
+        /// of its encoding is rejected.
+        #[test]
+        fn cell_round_trip_is_bit_exact(
+            metrics in (0u32..u32::MAX, 0u32..u32::MAX, 0u32..u32::MAX, 0u32..u32::MAX),
+            tail in (0usize..usize::MAX, 0u32..2)
+        ) {
+            let result = CellResult {
+                c_cta: f32::from_bits(metrics.0),
+                cta: f32::from_bits(metrics.1),
+                c_asr: f32::from_bits(metrics.2),
+                asr: f32::from_bits(metrics.3),
+                asr_nodes: tail.0,
+                oom: tail.1 == 1,
+            };
+            let bytes = encode_cell(&result);
+            let decoded = decode_cell(&bytes);
+            prop_assert!(decoded.is_some());
+            prop_assert_eq!(decoded.as_ref().map(bits), Some(bits(&result)));
+            for cut in 0..bytes.len() {
+                prop_assert!(decode_cell(&bytes[..cut]).is_none(), "cut {}", cut);
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            prop_assert!(decode_cell(&long).is_none());
+        }
+
+        /// Arbitrary bytes never panic the decoder; the only inputs it
+        /// accepts are canonical encodings.
+        #[test]
+        fn arbitrary_bytes_decode_to_none_or_a_canonical_cell(
+            bytes in proptest::collection::vec(0u32..256, 0..64),
+            oom_byte in 2u32..256
+        ) {
+            let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+            if let Some(result) = decode_cell(&bytes) {
+                prop_assert_eq!(encode_cell(&result), bytes);
+            }
+            // A well-formed payload whose `oom` byte is not 0 or 1.
+            let mut bad = encode_cell(&CellResult::oom());
+            let last = bad.len() - 1;
+            bad[last] = oom_byte as u8;
+            prop_assert!(decode_cell(&bad).is_none());
+        }
     }
 }

@@ -1,11 +1,12 @@
 //! One regenerator function per table and figure of the paper's evaluation
-//! section.  Each returns an [`ExperimentReport`] that the `bgc-bench`
-//! binaries print and dump as JSON.
+//! section.  Each returns an [`ExperimentReport`] that the `bgc` CLI prints
+//! and dumps as JSON.
 //!
 //! Regenerators are *declarative*: they build the list of experiment cells
 //! they need ([`CellGroup`]s), hand the whole list to the [`Runner`] — which
 //! executes independent cells in parallel, shares the attack/condensation
-//! stages between overlapping cells, and resumes from the on-disk cache —
+//! stages between overlapping cells, and serves finished cells from the
+//! artifact store —
 //! and then render rows from the aggregated results.
 
 use serde::Serialize;

@@ -1,9 +1,7 @@
 //! Shared JSON codec for grid reports.
 //!
 //! One serialization of [`CellStatus`] / [`CellOutcome`] / [`RunnerStats`]
-//! used by both machine-readable surfaces of the workspace — the CLI's
-//! `--format json` documents and the daemon protocol's streamed `cell`
-//! frames — so a client reading either sees the same shapes.
+//! and [`StoreReport`] for the CLI's `--format json` documents.
 //!
 //! The cell sub-documents are deterministic (canonical key, status, result
 //! values); execution metadata that legitimately varies between runs
@@ -43,8 +41,8 @@ pub fn status_value(status: &CellStatus) -> Value {
     Value::Object(fields)
 }
 
-/// One cell of a report: canonical key, status, attempts, persist error and
-/// (for completed cells) the measured [`CellResult`] values.
+/// One cell of a report: canonical key, status, attempts and (for completed
+/// cells) the measured [`CellResult`] values.
 pub fn outcome_value(outcome: &CellOutcome, result: Option<&CellResult>) -> Value {
     let result_value = result
         .and_then(|r| serde_json::to_value(r).ok())
@@ -53,13 +51,6 @@ pub fn outcome_value(outcome: &CellOutcome, result: Option<&CellResult>) -> Valu
         field("cell", string(outcome.key.canon())),
         field("status", status_value(&outcome.status)),
         field("attempts", Value::Number(outcome.attempts as f64)),
-        field(
-            "persist_error",
-            match &outcome.persist_error {
-                Some(reason) => string(reason.clone()),
-                None => Value::Null,
-            },
-        ),
         field("result", result_value),
     ])
 }
@@ -69,10 +60,9 @@ pub fn stats_value(stats: &RunnerStats) -> Value {
     serde_json::to_value(stats).unwrap_or(Value::Null)
 }
 
-/// A [`StoreReport`] (from `bgc store stats|gc|doctor|clear` or the
-/// daemon's store handling) as a JSON object.  One codec for both
-/// surfaces, like [`stats_value`]; field order is fixed and the list
-/// fields are sorted by the store, so rendering is deterministic.
+/// A [`StoreReport`] (from `bgc store stats|gc|doctor|clear`) as a JSON
+/// object.  Field order is fixed and the list fields are sorted by the
+/// store, so rendering is deterministic.
 pub fn store_report_value(report: &StoreReport) -> Value {
     let count = |n: usize| Value::Number(n as f64);
     let names =

@@ -13,10 +13,11 @@
 //!   are memoized in a concurrent in-memory cache, so overlapping
 //!   tables/figures (e.g. the GCond/Cora/BGC cell appearing in Table II,
 //!   Fig. 1, Fig. 4 and Table VI) pay for each attack once;
-//! * **resumably** — per-cell results are persisted as JSON under
-//!   `target/experiments/<scale>/cells/` (atomic temp-file + rename writes
-//!   with a checksum footer; corrupt or stale files are quarantined to
-//!   `<name>.corrupt` and recomputed) and re-runs are served from disk;
+//! * **resumably** — every finished cell is a `cell` artifact in the
+//!   content-addressed [`Store`], keyed by its canonical key alone, so a
+//!   re-run serves it without generating the dataset or touching any other
+//!   stage (the store's writes are atomic and checksummed; corrupt artifacts
+//!   are quarantined and recomputed);
 //! * **fault-tolerantly** — every cell executes behind an unwind boundary,
 //!   so a panic becomes a typed [`CellStatus::Panicked`] outcome instead of
 //!   a poisoned-mutex cascade; a per-cell deadline ([`Runner::with_cell_timeout`])
@@ -39,8 +40,8 @@
 //! runner arms a [`FaultPlan`] ([`Runner::with_fault_plan`]) and enters it
 //! around each cell with the cell's canonical key as context, so the named
 //! fault points (`trainer.epoch`, `condense.outer`, `stage.clean`,
-//! `stage.attack`, `runner.persist`, `runner.load`) fire deterministically
-//! in exactly the targeted cell.
+//! `stage.attack`, `store.read`, `store.write`, `store.lock`) fire
+//! deterministically in exactly the targeted cell.
 
 // Deterministic-by-construction collections: every map and set of this
 // module keyed by cells or stage keys is a `BTreeMap`/`BTreeSet`, so no
@@ -49,9 +50,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -87,12 +86,12 @@ use crate::scale::ExperimentScale;
 /// `DEFAULT_BASE_SEED + i` (matching [`RunSpec::bgc`]).
 pub const DEFAULT_BASE_SEED: u64 = 17;
 
-/// Version tag of the on-disk cell format; bump when [`CellResult`] or the
-/// evaluation protocol changes so stale caches are recomputed.  v2: defended
+/// Version tag of the cell canon; bump when [`CellResult`] or the
+/// evaluation protocol changes so stale cells are recomputed.  v2: defended
 /// cells train their victim from the shared defended init stream regardless
 /// of the defense kind.  v3: the cell canon carries the code epochs of every
-/// stage, so epoch bumps invalidate persisted cells.
-const CELL_FILE_VERSION: u64 = 3;
+/// stage, so epoch bumps invalidate stored cells.
+const CELL_CANON_VERSION: u64 = 3;
 
 /// Code epoch of the evaluation protocol (victim training, CTA/ASR
 /// estimation, defended evaluation).  The artifact store and the cell canon
@@ -325,8 +324,8 @@ impl CellOverrides {
             self.architecture.map_or("-", |a| a.name()),
             opt(&self.num_layers),
         );
-        // Appended only when set: pre-plan cell canons (and their on-disk
-        // file names) must stay byte-identical.
+        // Appended only when set: pre-plan cell canons (and their store
+        // keys) must stay byte-identical.
         if let Some(plan) = &self.plan {
             canon.push_str(&format!("|plan={}", plan));
         }
@@ -381,7 +380,7 @@ pub struct CellKey {
     /// Deviations from the scale's baseline configuration.
     pub overrides: CellOverrides,
     /// Per-stage code epochs of the runner that built the key.  Part of the
-    /// canon, so bumping any stage's epoch retires persisted cell results;
+    /// canon, so bumping any stage's epoch retires stored cell results;
     /// this is conservative (a dataset bump also retires eval-only work) —
     /// cells are cheap relative to their stages, and the stage artifacts in
     /// the content-addressed store invalidate precisely.
@@ -399,13 +398,13 @@ impl CellKey {
         self.base_seed + self.rep as u64
     }
 
-    /// Canonical, stable, collision-checked encoding of the key.  Used as
-    /// the in-memory stage-key prefix and (hashed) as the on-disk file name;
-    /// the full string is stored inside the cell file and verified on load.
+    /// Canonical, stable encoding of the key: the cell's identity in
+    /// `--format json` reports and the only input of its store key (the
+    /// store verifies the full key on read, so hash collisions are caught).
     pub fn canon(&self) -> String {
         format!(
             "v{}|{}|{}|{}|{}|r={:08x}|seed={}|rep={}|eval={}|{}|ce={}",
-            CELL_FILE_VERSION,
+            CELL_CANON_VERSION,
             self.scale.name(),
             self.dataset.name(),
             self.method,
@@ -450,20 +449,6 @@ impl CellKey {
             self.overrides.attack_canon(),
         )
     }
-
-    /// On-disk file name: 64-bit FNV-1a of the canonical encoding.
-    fn file_name(&self) -> String {
-        format!("{:016x}.json", fnv1a64(self.canon().as_bytes()))
-    }
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Raw measurements of one cell.  For [`EvalKind::Standard`] cells the
@@ -486,7 +471,7 @@ pub struct CellResult {
 }
 
 impl CellResult {
-    fn oom() -> Self {
+    pub(crate) fn oom() -> Self {
         Self {
             c_cta: 0.0,
             cta: 0.0,
@@ -560,8 +545,6 @@ pub struct RunnerStats {
     pub cells_computed: usize,
     /// Cells served from the in-memory result map (overlap between reports).
     pub cell_memory_hits: usize,
-    /// Cells served from the on-disk cache (resumed runs).
-    pub cell_disk_hits: usize,
     /// Attack stages computed from scratch.
     pub attack_stages_computed: usize,
     /// Attack stages shared between cells (e.g. across victims/defenses).
@@ -570,18 +553,13 @@ pub struct RunnerStats {
     pub clean_stages_computed: usize,
     /// Clean condensations shared between cells (e.g. across attacks).
     pub clean_stage_hits: usize,
-    /// Corrupt/stale cell files quarantined to `<name>.corrupt` and
-    /// recomputed.
-    pub cells_quarantined: usize,
-    /// Cells whose results could not be persisted to the on-disk cache (the
-    /// in-memory results stayed valid).
-    pub persist_failures: usize,
-    /// Stages served from the content-addressed artifact store (computed by
-    /// an earlier process or another concurrent process).
+    /// Cells and stages served from the content-addressed artifact store
+    /// (computed by an earlier process or another concurrent process).
     pub store_hits: usize,
-    /// Stages computed in this process and published to the artifact store.
+    /// Cells and stages computed in this process and published to the
+    /// artifact store.
     pub store_computed: usize,
-    /// Stages computed in-process because the artifact store was
+    /// Cells and stages computed in-process because the artifact store was
     /// unavailable, timed out or failed (graceful degradation).
     pub store_degraded: usize,
     /// Sampled-training prefetch: batches produced by sampler threads
@@ -598,18 +576,16 @@ pub struct RunnerStats {
 impl RunnerStats {
     /// Total hits across every cache layer.
     pub fn total_hits(&self) -> usize {
-        self.cell_memory_hits + self.cell_disk_hits + self.attack_stage_hits + self.clean_stage_hits
+        self.cell_memory_hits + self.store_hits + self.attack_stage_hits + self.clean_stage_hits
     }
 
-    /// One-line human-readable summary.  Quarantine and persist-failure
-    /// counts only appear when nonzero, so healthy runs print exactly what
-    /// they always printed.
+    /// One-line human-readable summary.  The store and prefetch parts only
+    /// appear when nonzero.
     pub fn summary(&self) -> String {
         let mut summary = format!(
-            "cells: {} computed, {} memory hits, {} disk hits | attack stages: {} computed, {} shared | clean stages: {} computed, {} shared",
+            "cells: {} computed, {} memory hits | attack stages: {} computed, {} shared | clean stages: {} computed, {} shared",
             self.cells_computed,
             self.cell_memory_hits,
-            self.cell_disk_hits,
             self.attack_stages_computed,
             self.attack_stage_hits,
             self.clean_stages_computed,
@@ -620,12 +596,6 @@ impl RunnerStats {
                 " | store: {} hits, {} computed, {} degraded",
                 self.store_hits, self.store_computed, self.store_degraded
             ));
-        }
-        if self.cells_quarantined > 0 {
-            summary.push_str(&format!(" | {} quarantined", self.cells_quarantined));
-        }
-        if self.persist_failures > 0 {
-            summary.push_str(&format!(" | {} persist failures", self.persist_failures));
         }
         if self.prefetch_produced > 0 {
             summary.push_str(&format!(
@@ -665,7 +635,6 @@ fn resolved_outcome(key: &CellKey, status: CellStatus) -> CellOutcome {
         key: key.clone(),
         status,
         attempts: 0,
-        persist_error: None,
     }
 }
 
@@ -675,34 +644,28 @@ fn resolved_outcome(key: &CellKey, status: CellStatus) -> CellOutcome {
 
 /// Per-outcome progress callback of a wave scope.  Called from the pool
 /// threads as cells resolve, so implementations must synchronize their own
-/// state (e.g. a mutex around a socket).
+/// state.
 pub type WaveObserver = Arc<dyn Fn(&CellOutcome) + Send + Sync>;
 
-/// Ambient per-request execution context for [`Runner::run_cells`] waves.
+/// Ambient per-invocation execution context for [`Runner::run_cells`] waves.
 ///
-/// A caller that owns a whole unit of work spanning many waves — a daemon
-/// request, a CLI invocation with a `--deadline` — enters a `WaveCtx` via
-/// [`enter_wave`] on its thread; every wave the runner starts on that thread
-/// (including nested ones from [`Runner::metrics`] read-back) picks it up:
+/// A caller that owns a whole unit of work spanning many waves — a CLI
+/// invocation with a `--deadline` — enters a `WaveCtx` via [`enter_wave`] on
+/// its thread; every wave the runner starts on that thread (including nested
+/// ones from [`Runner::metrics`] read-back) picks it up:
 ///
-/// * `deadline` — a request-level [`CancelToken`]; cells compose it with the
-///   per-cell timeout via [`CancelToken::child_with_timeout`], so whichever
-///   fires first cancels the cell;
-/// * `transient` — failures of this wave are reported in the [`GridReport`]
-///   but *not* recorded in the runner's permanent failure map, so a shared
-///   long-lived runner (the daemon) can serve the same cell to a later
-///   request instead of pinning one client's timeout forever;
-/// * `observer` — streamed per-cell progress (the daemon's `cell` frames,
-///   the CLI's `--format json` collector).
+/// * `deadline` — an invocation-level [`CancelToken`]; cells compose it with
+///   the per-cell timeout via [`CancelToken::child_with_timeout`], so
+///   whichever fires first cancels the cell;
+/// * `observer` — streamed per-cell progress (the CLI's `--format json`
+///   collector).
 ///
-/// Scopes nest: every active observer receives events, the innermost
-/// deadline applies, and the wave is transient when any scope is.
+/// Scopes nest: every active observer receives events and the innermost
+/// deadline applies.
 #[derive(Clone, Default)]
 pub struct WaveCtx {
-    /// Request-level cancellation/deadline token.
+    /// Invocation-level cancellation/deadline token.
     pub deadline: Option<CancelToken>,
-    /// Do not record this wave's failures in the permanent failure map.
-    pub transient: bool,
     /// Streamed per-outcome progress callback.
     pub observer: Option<WaveObserver>,
 }
@@ -738,7 +701,6 @@ impl Drop for WaveScope {
 /// thread-local stack is not visible).
 struct MergedWave {
     deadline: Option<CancelToken>,
-    transient: bool,
     observers: Vec<WaveObserver>,
 }
 
@@ -748,7 +710,6 @@ impl MergedWave {
             let stack = stack.borrow();
             Self {
                 deadline: stack.iter().rev().find_map(|ctx| ctx.deadline.clone()),
-                transient: stack.iter().any(|ctx| ctx.transient),
                 observers: stack
                     .iter()
                     .filter_map(|ctx| ctx.observer.clone())
@@ -837,9 +798,6 @@ pub struct CellOutcome {
     /// already resolved (an in-memory hit, or a cell that failed in an
     /// earlier wave of the same runner).
     pub attempts: usize,
-    /// Set when the cell computed but its result could not be written to the
-    /// on-disk cache (the in-memory result is still valid).
-    pub persist_error: Option<String>,
 }
 
 /// Per-cell statuses of one [`Runner::run_cells`] wave, in submission order
@@ -875,14 +833,6 @@ impl GridReport {
             .count()
     }
 
-    /// Cells whose results could not be written to the on-disk cache.
-    pub fn persist_failures(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| o.persist_error.is_some())
-            .count()
-    }
-
     /// Every failure aggregated into one typed error (`None` when the wave
     /// succeeded).  A multi-cell failure retains every per-cell error.
     pub fn error(&self) -> Option<BgcError> {
@@ -904,14 +854,10 @@ impl GridReport {
                 None => counts.push((label, 1)),
             }
         }
-        let mut parts: Vec<String> = counts
+        let parts: Vec<String> = counts
             .iter()
             .map(|(label, n)| format!("{} {}", n, label))
             .collect();
-        let persist = self.persist_failures();
-        if persist > 0 {
-            parts.push(format!("{} persist failures", persist));
-        }
         format!("{} cells: {}", self.outcomes.len(), parts.join(", "))
     }
 }
@@ -928,9 +874,8 @@ pub struct Runner {
     retries: usize,
     retry_backoff: Duration,
     fault_plan: Option<FaultPlan>,
-    cache_dir: Option<PathBuf>,
-    /// Content-addressed artifact store the stage caches read through
-    /// (`None`: stages stay purely in-process, as before the store existed).
+    /// Content-addressed artifact store that cells and stages read through
+    /// (`None`: everything stays purely in-process).
     store: Option<Arc<Store>>,
     /// Per-stage code epochs mixed into every cache key.
     epochs: CodeEpochs,
@@ -950,39 +895,21 @@ pub struct Runner {
     fingerprints: StageCache<u64>,
     cells_computed: AtomicUsize,
     cell_memory_hits: AtomicUsize,
-    cell_disk_hits: AtomicUsize,
-    cells_quarantined: AtomicUsize,
-    persist_failure_count: AtomicUsize,
     store_hits: AtomicUsize,
     store_computed: AtomicUsize,
     store_degraded: AtomicUsize,
 }
 
 impl Runner {
-    /// A runner with the default on-disk cache under
-    /// `target/experiments/<scale>/cells/` and the shared artifact store
+    /// A runner reading cells and stages through the shared artifact store
     /// under [`bgc_store::default_store_root`].
     pub fn new(scale: ExperimentScale) -> Self {
-        let dir = PathBuf::from("target/experiments")
-            .join(scale.name())
-            .join("cells");
-        Self::with_cache_dir(scale, Some(dir))
-            .with_store(Some(Store::open(bgc_store::default_store_root())))
+        Self::in_memory(scale).with_store(Some(Store::open(bgc_store::default_store_root())))
     }
 
-    /// A runner without on-disk persistence (unit tests, library use).
+    /// A runner without on-disk persistence (unit tests, library use,
+    /// `--no-cache`).
     pub fn in_memory(scale: ExperimentScale) -> Self {
-        Self::with_cache_dir(scale, None)
-    }
-
-    /// A runner with an explicit cell-cache directory (`None` disables
-    /// persistence).  Stale temp files left behind by killed processes are
-    /// swept on construction; the atomic-rename persist protocol guarantees
-    /// they are never the live copy.
-    pub fn with_cache_dir(scale: ExperimentScale, cache_dir: Option<PathBuf>) -> Self {
-        if let Some(dir) = &cache_dir {
-            sweep_stale_tmp_files(dir);
-        }
         Self {
             scale,
             base_seed: DEFAULT_BASE_SEED,
@@ -992,7 +919,6 @@ impl Runner {
             retries: 0,
             retry_backoff: Duration::from_millis(100),
             fault_plan: None,
-            cache_dir,
             store: None,
             epochs: CodeEpochs::default(),
             results: Mutex::new(BTreeMap::new()),
@@ -1003,20 +929,17 @@ impl Runner {
             fingerprints: StageCache::new(),
             cells_computed: AtomicUsize::new(0),
             cell_memory_hits: AtomicUsize::new(0),
-            cell_disk_hits: AtomicUsize::new(0),
-            cells_quarantined: AtomicUsize::new(0),
-            persist_failure_count: AtomicUsize::new(0),
             store_hits: AtomicUsize::new(0),
             store_computed: AtomicUsize::new(0),
             store_degraded: AtomicUsize::new(0),
         }
     }
 
-    /// Attaches (or detaches) the content-addressed artifact store the
-    /// clean- and attack-stage caches read through.  `None` keeps stages
-    /// purely in-process.  The store is shared: multiple runners, processes
-    /// and the daemon can point at one root and each artifact is computed
-    /// once.
+    /// Attaches (or detaches) the content-addressed artifact store that
+    /// cells and the clean- and attack-stage caches read through.  `None`
+    /// keeps everything purely in-process.  The store is shared: multiple
+    /// runners and processes can point at one root and each artifact is
+    /// computed once.
     pub fn with_store(mut self, store: Option<Arc<Store>>) -> Self {
         self.store = store;
         self
@@ -1268,9 +1191,7 @@ impl Runner {
             } else {
                 let outcome = self.execute_cell(&key, &wave);
                 if !outcome.status.is_success() {
-                    if !wave.transient {
-                        relock(&self.failures).insert(key.clone(), outcome.status.clone());
-                    }
+                    relock(&self.failures).insert(key.clone(), outcome.status.clone());
                     if !self.keep_going {
                         aborted.store(true, Ordering::Relaxed);
                     }
@@ -1321,33 +1242,21 @@ impl Runner {
             attempt += 1;
             let unwound = catch_unwind(AssertUnwindSafe(|| {
                 let _faults = self.fault_plan.as_ref().map(|plan| plan.enter(&canon));
-                // The per-cell timeout composes with the ambient request
+                // The per-cell timeout composes with the ambient invocation
                 // deadline: the child token cancels on whichever fires first.
                 let deadline = match (&wave.deadline, self.cell_timeout) {
-                    (Some(request), Some(timeout)) => Some(request.child_with_timeout(timeout)),
-                    (Some(request), None) => Some(request.clone()),
+                    (Some(invocation), Some(timeout)) => {
+                        Some(invocation.child_with_timeout(timeout))
+                    }
+                    (Some(invocation), None) => Some(invocation.clone()),
                     (None, Some(timeout)) => Some(CancelToken::with_timeout(timeout)),
                     (None, None) => None,
                 };
                 let _scope = deadline.as_ref().map(CancelToken::enter);
-                match self.load_cell(key) {
-                    Some(result) => Ok((result, false, None)),
-                    None => self
-                        .compute_cell(key)
-                        .map(|result| (result, true, self.persist_cell(key, &result).err())),
-                }
+                self.cell_through_store(key)
             }));
             let failure = match unwound {
-                Ok(Ok((result, computed, persist_error))) => {
-                    if computed {
-                        self.cells_computed.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        self.cell_disk_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if let Some(reason) = &persist_error {
-                        self.persist_failure_count.fetch_add(1, Ordering::Relaxed);
-                        eprintln!("warning: {}", reason);
-                    }
+                Ok(Ok(result)) => {
                     relock(&self.results).insert(key.clone(), result);
                     let status = if result.oom {
                         CellStatus::Oom
@@ -1358,7 +1267,6 @@ impl Runner {
                         key: key.clone(),
                         status,
                         attempts: attempt,
-                        persist_error,
                     };
                 }
                 Ok(Err(err)) => err,
@@ -1398,7 +1306,6 @@ impl Runner {
                 key: key.clone(),
                 status,
                 attempts: attempt,
-                persist_error: None,
             };
         }
     }
@@ -1486,39 +1393,16 @@ impl Runner {
         ))
     }
 
-    /// Number of cells that failed terminally across all waves of this
-    /// runner (drives the CLI's cell-failure exit code).
-    pub fn failure_count(&self) -> usize {
-        relock(&self.failures).len()
-    }
-
-    /// `(completed, oom)` cell counts of the in-memory result map (drives
-    /// the CLI's OOM-only exit code).
-    pub fn completed_counts(&self) -> (usize, usize) {
-        let results = relock(&self.results);
-        let oom = results.values().filter(|r| r.oom).count();
-        (results.len(), oom)
-    }
-
-    /// Canonical keys of every completed cell in the in-memory result map,
-    /// in canonical order (daemon status / cache listings).
-    pub fn cached_cell_canons(&self) -> Vec<String> {
-        relock(&self.results).keys().map(CellKey::canon).collect()
-    }
-
     /// Snapshot of the cache/execution counters.
     pub fn stats(&self) -> RunnerStats {
         let prefetch = bgc_nn::prefetch_stats();
         RunnerStats {
             cells_computed: self.cells_computed.load(Ordering::Relaxed),
             cell_memory_hits: self.cell_memory_hits.load(Ordering::Relaxed),
-            cell_disk_hits: self.cell_disk_hits.load(Ordering::Relaxed),
             attack_stages_computed: self.attack_cache.computed.load(Ordering::Relaxed),
             attack_stage_hits: self.attack_cache.hits.load(Ordering::Relaxed),
             clean_stages_computed: self.clean_cache.computed.load(Ordering::Relaxed),
             clean_stage_hits: self.clean_cache.hits.load(Ordering::Relaxed),
-            cells_quarantined: self.cells_quarantined.load(Ordering::Relaxed),
-            persist_failures: self.persist_failure_count.load(Ordering::Relaxed),
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_computed: self.store_computed.load(Ordering::Relaxed),
             store_degraded: self.store_degraded.load(Ordering::Relaxed),
@@ -1532,6 +1416,28 @@ impl Runner {
     // ------------------------------------------------------------------
     // Cell execution
     // ------------------------------------------------------------------
+
+    /// One cell read through the artifact store: a hit decodes the stored
+    /// [`CellResult`] and touches nothing else (no dataset, no stage); a miss
+    /// computes the cell and publishes it.  Failed cells are returned but
+    /// never stored; OOM cells are stored like any result.
+    fn cell_through_store(&self, key: &CellKey) -> Result<CellResult, BgcError> {
+        let Some(store) = &self.store else {
+            self.cells_computed.fetch_add(1, Ordering::Relaxed);
+            return self.compute_cell(key);
+        };
+        let (result, role) = store.get_or_compute(
+            &self.cell_store_key(key),
+            |bytes| artifact_codec::decode_cell(bytes).map(Ok),
+            |result| result.as_ref().ok().map(artifact_codec::encode_cell),
+            || {
+                self.cells_computed.fetch_add(1, Ordering::Relaxed);
+                self.compute_cell(key)
+            },
+        );
+        self.count_role(role);
+        result
+    }
 
     fn compute_cell(&self, key: &CellKey) -> Result<CellResult, BgcError> {
         let attack = lookup_attack(&key.attack)?;
@@ -1569,8 +1475,9 @@ impl Runner {
         let needs_clean = key.eval == EvalKind::Standard || attack.needs_clean_reference();
         let clean = if needs_clean {
             let outcome = self.clean_cache.get_or_compute(key.clean_stage_key(), || {
-                // The fault point fires before the store read-through, so an
-                // injected `stage.clean` fault hits even on a warm store.
+                // The fault point fires before the stage's store read-through,
+                // so an injected `stage.clean` fault hits whenever the cell
+                // itself is not already in the store.
                 fault::fire("stage.clean");
                 self.clean_through_store(&graph, graph_fp, key, method.as_ref(), &config)
             });
@@ -1665,6 +1572,15 @@ impl Runner {
     // ------------------------------------------------------------------
     // Content-addressed stage artifacts
     // ------------------------------------------------------------------
+
+    /// Store key of a finished cell: its canon alone.  The canon carries the
+    /// scale, every code epoch and every cell coordinate, so no dataset is
+    /// generated or fingerprinted to build it.
+    fn cell_store_key(&self, key: &CellKey) -> StoreKey {
+        KeyBuilder::new("cell", self.epochs.eval)
+            .field("canon", key.canon())
+            .build()
+    }
 
     fn count_role(&self, role: StoreRole) {
         let counter = match role {
@@ -1774,205 +1690,6 @@ impl Runner {
         self.count_role(role);
         result
     }
-
-    // ------------------------------------------------------------------
-    // On-disk cell cache
-    // ------------------------------------------------------------------
-
-    /// Loads a persisted cell, verifying the integrity footer (version and
-    /// checksum), the JSON body and the stored canonical key.  A file that
-    /// fails any check is quarantined to `<name>.corrupt` and the cell
-    /// recomputes; a read error falls back to recomputation.
-    fn load_cell(&self, key: &CellKey) -> Option<CellResult> {
-        let dir = self.cache_dir.as_ref()?;
-        let path = dir.join(key.file_name());
-        let read = fault::fire_io("runner.load").and_then(|()| fs::read_to_string(&path));
-        let text = match read {
-            Ok(text) => text,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(err) => {
-                eprintln!(
-                    "warning: could not read {}: {} (recomputing)",
-                    path.display(),
-                    err
-                );
-                return None;
-            }
-        };
-        match parse_cell_file(&text, key) {
-            Ok(result) => Some(result),
-            Err(reason) => {
-                self.quarantine(&path, &reason);
-                None
-            }
-        }
-    }
-
-    /// Moves a corrupt/stale cell file aside to `<name>.corrupt` so the cell
-    /// recomputes and re-persists cleanly; the original bytes are kept for
-    /// inspection.
-    fn quarantine(&self, path: &Path, reason: &str) {
-        self.cells_quarantined.fetch_add(1, Ordering::Relaxed);
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let target = path.with_file_name(format!("{}.corrupt", name));
-        match fs::rename(path, &target) {
-            Ok(()) => eprintln!(
-                "warning: quarantined corrupt cell file {} ({}); recomputing",
-                path.display(),
-                reason
-            ),
-            Err(err) => eprintln!(
-                "warning: corrupt cell file {} ({}) could not be quarantined: {}; recomputing",
-                path.display(),
-                reason,
-                err
-            ),
-        }
-    }
-
-    /// Atomically persists a completed cell: the payload (JSON plus
-    /// integrity footer) goes to a process-unique temp file which is then
-    /// renamed into place, so a crash mid-write never leaves a partial cell
-    /// file behind.  Failures are returned as a description instead of
-    /// failing the cell — the in-memory result is still valid.
-    fn persist_cell(&self, key: &CellKey, result: &CellResult) -> Result<(), String> {
-        let Some(dir) = self.cache_dir.as_ref() else {
-            return Ok(());
-        };
-        fs::create_dir_all(dir)
-            .map_err(|err| format!("could not create {}: {}", dir.display(), err))?;
-        let file = CellFile {
-            version: CELL_FILE_VERSION,
-            canon: key.canon(),
-            ratio: key.ratio(),
-            result: *result,
-        };
-        let json = serde_json::to_string_pretty(&file)
-            .map_err(|err| format!("could not serialize cell: {}", err))?;
-        let path = dir.join(key.file_name());
-        let tmp = dir.join(format!("{}.tmp-{}", key.file_name(), std::process::id()));
-        let write = (|| -> std::io::Result<()> {
-            fs::write(&tmp, seal_cell_payload(&json))?;
-            // The window between temp write and rename is the kill/abort
-            // target of the atomicity tests.
-            fault::fire_io("runner.persist")?;
-            fs::rename(&tmp, &path)
-        })();
-        write.map_err(|err| {
-            let _ = fs::remove_file(&tmp);
-            format!("could not persist {}: {}", path.display(), err)
-        })
-    }
-}
-
-/// Appends the integrity footer: a comment line carrying the cell-format
-/// version and the FNV-1a64 checksum of the JSON body, verified on load.
-fn seal_cell_payload(json: &str) -> String {
-    format!(
-        "{}\n#bgc-cell v{} fnv1a64={:016x}\n",
-        json,
-        CELL_FILE_VERSION,
-        fnv1a64(json.as_bytes())
-    )
-}
-
-/// Parses and verifies a persisted cell: footer present, version current,
-/// checksum matching, JSON well-formed and the stored canonical key equal to
-/// the requested cell's (the file name is a 64-bit hash; the canon guards
-/// against collisions).  Any violation is reported as a quarantine reason.
-fn parse_cell_file(text: &str, key: &CellKey) -> Result<CellResult, String> {
-    let trimmed = text.strip_suffix('\n').unwrap_or(text);
-    let (body, footer) = trimmed
-        .rsplit_once('\n')
-        .ok_or("missing integrity footer")?;
-    let rest = footer
-        .strip_prefix("#bgc-cell v")
-        .ok_or("missing integrity footer")?;
-    let (version, checksum) = rest
-        .split_once(" fnv1a64=")
-        .ok_or("malformed integrity footer")?;
-    let version: u64 = version
-        .parse()
-        .map_err(|_| "malformed integrity footer".to_string())?;
-    if version != CELL_FILE_VERSION {
-        return Err(format!(
-            "stale cell format v{} (current v{})",
-            version, CELL_FILE_VERSION
-        ));
-    }
-    let expected =
-        u64::from_str_radix(checksum, 16).map_err(|_| "malformed integrity footer".to_string())?;
-    let actual = fnv1a64(body.as_bytes());
-    if actual != expected {
-        return Err(format!(
-            "checksum mismatch (stored {:016x}, computed {:016x})",
-            expected, actual
-        ));
-    }
-    let value: serde_json::Value =
-        serde_json::from_str(body).map_err(|err| format!("unparseable JSON: {}", err))?;
-    let stored_version = value
-        .get("version")
-        .and_then(|v| v.as_u64())
-        .ok_or("missing version field")?;
-    if stored_version != CELL_FILE_VERSION {
-        return Err(format!("stale cell version {}", stored_version));
-    }
-    let canon = value
-        .get("canon")
-        .and_then(|v| v.as_str())
-        .ok_or("missing canon field")?;
-    if canon != key.canon() {
-        return Err("canonical key mismatch (hash collision or stale key)".to_string());
-    }
-    let result = value.get("result").ok_or("missing result field")?;
-    let field = |name: &str| -> Result<f32, String> {
-        result
-            .get(name)
-            .and_then(|v| v.as_f64())
-            .map(|v| v as f32)
-            .ok_or_else(|| format!("missing result field '{}'", name))
-    };
-    Ok(CellResult {
-        c_cta: field("c_cta")?,
-        cta: field("cta")?,
-        c_asr: field("c_asr")?,
-        asr: field("asr")?,
-        asr_nodes: result
-            .get("asr_nodes")
-            .and_then(|v| v.as_u64())
-            .ok_or("missing result field 'asr_nodes'")? as usize,
-        oom: result
-            .get("oom")
-            .and_then(|v| v.as_bool())
-            .ok_or("missing result field 'oom'")?,
-    })
-}
-
-/// Removes temp files left behind by killed processes.  The atomic-rename
-/// persist protocol guarantees a temp file is never the live copy of a
-/// cell.
-fn sweep_stale_tmp_files(dir: &Path) {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        if entry.file_name().to_string_lossy().contains(".json.tmp-") {
-            let _ = fs::remove_file(entry.path());
-        }
-    }
-}
-
-/// On-disk representation of one completed cell.
-#[derive(Serialize)]
-struct CellFile {
-    version: u64,
-    canon: String,
-    ratio: f32,
-    result: CellResult,
 }
 
 /// CTA/ASR of a victim evaluated through a [`Defense`] (Table IV):
@@ -2043,6 +1760,8 @@ fn defended_evaluation(
 mod tests {
     use super::*;
     use bgc_condense::CondensationKind;
+    use std::fs;
+    use std::path::{Path, PathBuf};
 
     /// A tiny two-cell grid that shares the clean stage between two attacks.
     fn tiny_groups(runner: &Runner) -> Vec<CellGroup> {
@@ -2106,7 +1825,10 @@ mod tests {
             },
         );
         assert_ne!(default.keys[0].canon(), other.keys[0].canon());
-        assert_ne!(default.keys[0].file_name(), other.keys[0].file_name());
+        assert_ne!(
+            runner.cell_store_key(&default.keys[0]),
+            runner.cell_store_key(&other.keys[0])
+        );
         // The victim-side override leaves the attack stage shareable.
         assert_eq!(
             default.keys[0].attack_stage_key(),
@@ -2169,33 +1891,81 @@ mod tests {
         assert!(serial.stats().clean_stage_hits >= 1);
     }
 
+    /// A fresh temp directory for one test's store.
+    fn temp_root(tag: &str) -> PathBuf {
+        let root = std::env::temp_dir().join(format!("bgc-runner-{}-{}", tag, std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        root
+    }
+
+    fn stored_runner(root: &Path) -> Runner {
+        Runner::in_memory(ExperimentScale::Quick)
+            .serial()
+            .with_store(Some(Store::open(root)))
+    }
+
+    /// The one-repetition GCond-X/BGC cell the store tests run.
+    fn store_group(runner: &Runner) -> CellGroup {
+        runner.group(
+            DatasetKind::Cora,
+            CondensationKind::GCondX,
+            AttackKind::Bgc,
+            0.026,
+            EvalKind::Standard,
+            CellOverrides {
+                outer_epochs: Some(4),
+                ..CellOverrides::default()
+            },
+        )
+    }
+
+    fn artifact_names(root: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(root)
+            .map(|entries| {
+                entries
+                    .flatten()
+                    .map(|e| e.file_name().to_string_lossy().into_owned())
+                    .filter(|name| name.ends_with(".art"))
+                    .collect()
+            })
+            .unwrap_or_default();
+        names.sort();
+        names
+    }
+
+    fn assert_same_results(a: &Runner, b: &Runner, keys: &[CellKey]) {
+        for key in keys {
+            let (a, b) = (a.result(key).unwrap(), b.result(key).unwrap());
+            assert_eq!(a.c_cta.to_bits(), b.c_cta.to_bits(), "{}", key.canon());
+            assert_eq!(a.cta.to_bits(), b.cta.to_bits(), "{}", key.canon());
+            assert_eq!(a.c_asr.to_bits(), b.c_asr.to_bits(), "{}", key.canon());
+            assert_eq!(a.asr.to_bits(), b.asr.to_bits(), "{}", key.canon());
+            assert_eq!(a.asr_nodes, b.asr_nodes, "{}", key.canon());
+        }
+    }
+
     #[test]
     fn disk_cache_resumes_with_identical_results() {
-        let dir = std::env::temp_dir().join(format!("bgc-runner-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let root = temp_root("resume");
 
-        let first = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir.clone()));
+        let first = stored_runner(&root);
         let groups = tiny_groups(&first);
         let keys: Vec<CellKey> = groups.iter().flat_map(|g| g.keys.clone()).collect();
         assert!(first.run_cells(&keys).is_ok());
         assert_eq!(first.stats().cells_computed, keys.len());
-        assert_eq!(first.stats().cell_disk_hits, 0);
+        assert_eq!(first.stats().store_hits, 0);
 
         // A fresh runner (fresh process, conceptually) is served entirely
-        // from disk, bit-identically.
-        let second = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir.clone()));
+        // from the cell artifacts, bit-identically, without touching a
+        // single stage.
+        let second = stored_runner(&root);
         assert!(second.run_cells(&keys).is_ok());
         let stats = second.stats();
-        assert_eq!(stats.cell_disk_hits, keys.len());
+        assert_eq!(stats.store_hits, keys.len());
         assert_eq!(stats.cells_computed, 0);
-        for key in &keys {
-            let a = first.result(key).unwrap();
-            let b = second.result(key).unwrap();
-            assert_eq!(a.cta.to_bits(), b.cta.to_bits());
-            assert_eq!(a.asr.to_bits(), b.asr.to_bits());
-            assert_eq!(a.c_cta.to_bits(), b.c_cta.to_bits());
-            assert_eq!(a.c_asr.to_bits(), b.c_asr.to_bits());
-        }
+        assert_eq!(stats.clean_stages_computed + stats.clean_stage_hits, 0);
+        assert_eq!(stats.attack_stages_computed + stats.attack_stage_hits, 0);
+        assert_same_results(&first, &second, &keys);
 
         // Re-running on the same runner hits the in-memory map, and the
         // report still carries per-cell outcomes (attempts 0: resolved
@@ -2205,7 +1975,7 @@ mod tests {
         assert!(report.outcomes.iter().all(|o| o.attempts == 0));
         assert_eq!(second.stats().cell_memory_hits, keys.len());
 
-        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -2470,233 +2240,180 @@ mod tests {
 
     #[test]
     fn corrupt_cell_files_are_quarantined_and_recomputed_identically() {
-        let dir = std::env::temp_dir().join(format!("bgc-corrupt-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let root = temp_root("corrupt-cell");
 
-        let seed = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir.clone())).serial();
-        let group = seed.group(
-            DatasetKind::Cora,
-            CondensationKind::GCondX,
-            AttackKind::Bgc,
-            0.026,
-            EvalKind::Standard,
-            CellOverrides {
-                outer_epochs: Some(4),
-                ..CellOverrides::default()
-            },
-        );
+        let seed = stored_runner(&root);
+        let group = store_group(&seed);
         assert!(seed.run_cells(&group.keys).is_ok());
-        let path = dir.join(group.keys[0].file_name());
-        let pristine = fs::read_to_string(&path).expect("cell file was persisted");
-        assert!(pristine.contains("#bgc-cell v"), "integrity footer present");
+        let store_key = seed.cell_store_key(&group.keys[0]);
+        let path = root.join(store_key.file_name());
+        let pristine = fs::read(&path).expect("cell artifact was stored");
+        let payload = bgc_store::parse_artifact(&pristine, Some(store_key.canon()))
+            .expect("stored cell verifies");
 
-        let corruptions: Vec<(&str, String)> = vec![
-            ("truncated", pristine[..pristine.len() / 2].to_string()),
-            ("bit-flipped", pristine.replacen("\"cta\"", "\"ctA\"", 1)),
+        let mut flipped = pristine.clone();
+        let last = flipped.len() - 2;
+        flipped[last] ^= 0x40;
+        let mut stale_codec = payload.clone();
+        stale_codec[0] = 99;
+        let corruptions: Vec<(&str, Vec<u8>)> = vec![
+            ("truncated", pristine[..pristine.len() / 2].to_vec()),
+            ("bit-flipped", flipped),
             (
-                "stale-version",
-                pristine.replace("#bgc-cell v3", "#bgc-cell v2"),
+                "stale codec version",
+                bgc_store::seal_artifact(store_key.canon(), &stale_codec),
             ),
-            ("footer-less (pre-footer format)", {
-                let json_end = pristine.rfind("\n#bgc-cell").unwrap();
-                pristine[..json_end].to_string()
-            }),
+            (
+                "foreign canon",
+                bgc_store::seal_artifact("k1|cell|ep=1|canon=other", &payload),
+            ),
         ];
         for (label, corrupted) in corruptions {
             fs::write(&path, corrupted).unwrap();
-            let runner = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir.clone())).serial();
+            let runner = stored_runner(&root);
             assert!(runner.run_cells(&group.keys).is_ok(), "{}", label);
             let stats = runner.stats();
-            assert_eq!(stats.cells_quarantined, 1, "{}", label);
             assert_eq!(stats.cells_computed, 1, "{}: recomputed, not loaded", label);
-            assert_eq!(stats.cell_disk_hits, 0, "{}", label);
-            assert!(stats.summary().contains("1 quarantined"), "{}", label);
+            // The recomputation reads both stages back from the store.
+            assert_eq!(stats.store_hits, 2, "{}", label);
+            assert_eq!(stats.store_computed, 1, "{}", label);
+            let store = runner.store().expect("store attached");
+            assert_eq!(store.counters().quarantined, 1, "{}", label);
             // The corrupt bytes are kept for inspection...
-            let quarantined = path.with_file_name(format!(
-                "{}.corrupt",
-                path.file_name().unwrap().to_string_lossy()
-            ));
+            let quarantined = root.join(format!("{}.corrupt", store_key.file_name()));
             assert!(quarantined.exists(), "{}", label);
-            // ...and the healed file is byte-identical to the original.
-            let healed = fs::read_to_string(&path).unwrap();
-            assert_eq!(healed, pristine, "{}", label);
+            // ...and the healed artifact is byte-identical to the original.
+            assert_eq!(fs::read(&path).unwrap(), pristine, "{}", label);
+            assert_same_results(&seed, &runner, &group.keys);
             let _ = fs::remove_file(&quarantined);
         }
 
-        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn stages_read_through_the_store_and_epoch_bumps_invalidate() {
-        use bgc_store::Store;
+        let root = temp_root("store-rt");
 
-        let root = std::env::temp_dir().join(format!("bgc-store-rt-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
-        let group_of = |runner: &Runner| {
-            runner.group(
-                DatasetKind::Cora,
-                CondensationKind::GCondX,
-                AttackKind::Bgc,
-                0.026,
-                EvalKind::Standard,
-                CellOverrides {
-                    outer_epochs: Some(4),
-                    ..CellOverrides::default()
-                },
-            )
-        };
-
-        // Cold: both stages compute and publish artifacts.
-        let cold = Runner::in_memory(ExperimentScale::Quick)
-            .serial()
-            .with_store(Some(Store::open(&root)));
-        let group = group_of(&cold);
+        // Cold: the cell and both stages compute and publish artifacts.
+        let cold = stored_runner(&root);
+        let group = store_group(&cold);
         assert!(cold.run_cells(&group.keys).is_ok());
         let stats = cold.stats();
-        assert_eq!(stats.store_computed, 2, "clean + attack each published");
+        assert_eq!(stats.store_computed, 3, "cell + clean + attack published");
         assert_eq!(stats.store_hits, 0);
         assert_eq!(stats.store_degraded, 0);
-        assert!(stats.summary().contains("store: 0 hits, 2 computed"));
-        let artifacts = fs::read_dir(&root)
-            .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".art"))
-            .count();
-        assert_eq!(artifacts, 2);
+        assert!(stats.summary().contains("store: 0 hits, 3 computed"));
+        assert_eq!(artifact_names(&root).len(), 3);
 
-        // Warm (a fresh runner, conceptually a fresh process): both stages
-        // are served from the store, bit-identically.
-        let warm = Runner::in_memory(ExperimentScale::Quick)
-            .serial()
-            .with_store(Some(Store::open(&root)));
-        let group_warm = group_of(&warm);
+        // Warm (a fresh runner, conceptually a fresh process): the cell
+        // artifact alone serves the cell.
+        let warm = stored_runner(&root);
+        let group_warm = store_group(&warm);
         assert_eq!(group.keys, group_warm.keys);
         assert!(warm.run_cells(&group_warm.keys).is_ok());
         let stats = warm.stats();
-        assert_eq!(stats.store_hits, 2, "clean + attack both served");
+        assert_eq!(stats.store_hits, 1, "the cell is served");
         assert_eq!(stats.store_computed, 0);
-        for key in &group.keys {
-            let a = cold.result(key).unwrap();
-            let b = warm.result(key).unwrap();
-            assert_eq!(a.c_cta.to_bits(), b.c_cta.to_bits());
-            assert_eq!(a.cta.to_bits(), b.cta.to_bits());
-            assert_eq!(a.c_asr.to_bits(), b.c_asr.to_bits());
-            assert_eq!(a.asr.to_bits(), b.asr.to_bits());
-            assert_eq!(a.asr_nodes, b.asr_nodes);
-        }
+        assert_eq!(
+            stats.clean_stages_computed + stats.attack_stages_computed,
+            0
+        );
+        assert_same_results(&cold, &warm, &group.keys);
+
+        // Without the cell artifact the cell recomputes, reading both
+        // stages back from the store, bit-identically.
+        fs::remove_file(root.join(cold.cell_store_key(&group.keys[0]).file_name())).unwrap();
+        let stages = stored_runner(&root);
+        assert!(stages.run_cells(&group.keys).is_ok());
+        let stats = stages.stats();
+        assert_eq!(stats.store_hits, 2, "clean + attack both served");
+        assert_eq!(stats.store_computed, 1, "only the cell recomputed");
+        assert_same_results(&cold, &stages, &group.keys);
 
         // Bumping the condensation epoch invalidates the clean stage AND
         // the downstream attack stage (the attack key chains the epoch),
-        // but the cell key changes too, so this runner recomputes both.
-        let bumped_epochs = CodeEpochs {
+        // and the cell key changes too, so this runner recomputes all three.
+        let bumped = stored_runner(&root).with_code_epochs(CodeEpochs {
             condense: CodeEpochs::default().condense + 1,
             ..CodeEpochs::default()
-        };
-        let bumped = Runner::in_memory(ExperimentScale::Quick)
-            .serial()
-            .with_store(Some(Store::open(&root)))
-            .with_code_epochs(bumped_epochs);
-        let group_bumped = group_of(&bumped);
+        });
+        let group_bumped = store_group(&bumped);
         assert_ne!(group.keys[0].canon(), group_bumped.keys[0].canon());
         assert!(bumped.run_cells(&group_bumped.keys).is_ok());
         let stats = bumped.stats();
         assert_eq!(stats.store_hits, 0, "old artifacts must not be served");
-        assert_eq!(stats.store_computed, 2, "both stages recomputed");
+        assert_eq!(stats.store_computed, 3, "cell and both stages recomputed");
 
         // Bumping only the attack epoch leaves the clean artifact valid:
-        // exactly the attack stage (and nothing upstream) recomputes.
-        let attack_bumped = Runner::in_memory(ExperimentScale::Quick)
-            .serial()
-            .with_store(Some(Store::open(&root)))
-            .with_code_epochs(CodeEpochs {
-                attack: CodeEpochs::default().attack + 1,
-                ..CodeEpochs::default()
-            });
-        let group_attack = group_of(&attack_bumped);
+        // the cell and the attack stage (and nothing upstream) recompute.
+        let attack_bumped = stored_runner(&root).with_code_epochs(CodeEpochs {
+            attack: CodeEpochs::default().attack + 1,
+            ..CodeEpochs::default()
+        });
+        let group_attack = store_group(&attack_bumped);
         assert!(attack_bumped.run_cells(&group_attack.keys).is_ok());
         let stats = attack_bumped.stats();
         assert_eq!(stats.store_hits, 1, "clean artifact still serves");
-        assert_eq!(stats.store_computed, 1, "only the attack recomputed");
+        assert_eq!(
+            stats.store_computed, 2,
+            "only the cell and the attack recomputed"
+        );
 
-        // A read-only/unusable store degrades to in-process compute without
-        // failing the grid.
-        let file_as_root =
-            std::env::temp_dir().join(format!("bgc-store-rt-file-{}", std::process::id()));
-        fs::write(&file_as_root, b"not a directory").unwrap();
-        let degraded = Runner::in_memory(ExperimentScale::Quick)
-            .serial()
-            .with_store(Some(Store::open(&file_as_root)));
-        let group_degraded = group_of(&degraded);
-        assert!(degraded.run_cells(&group_degraded.keys).is_ok());
-        let stats = degraded.stats();
-        assert_eq!(stats.store_degraded, 2, "both stages degraded");
-        assert_eq!(stats.store_hits + stats.store_computed, 0);
-        let a = cold.result(&group.keys[0]).unwrap();
-        let b = degraded.result(&group_degraded.keys[0]).unwrap();
-        assert_eq!(a.cta.to_bits(), b.cta.to_bits(), "degraded == computed");
-        assert_eq!(a.asr.to_bits(), b.asr.to_bits());
-
-        let _ = fs::remove_file(&file_as_root);
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn corrupt_store_artifacts_are_quarantined_and_recomputed() {
-        use bgc_store::Store;
-
-        let root = std::env::temp_dir().join(format!("bgc-store-corrupt-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
-        let group_of = |runner: &Runner| {
-            runner.group(
-                DatasetKind::Cora,
-                CondensationKind::GCondX,
-                AttackKind::Bgc,
-                0.026,
-                EvalKind::Standard,
-                CellOverrides {
-                    outer_epochs: Some(4),
-                    ..CellOverrides::default()
-                },
-            )
-        };
-        let seed = Runner::in_memory(ExperimentScale::Quick)
-            .serial()
-            .with_store(Some(Store::open(&root)));
-        let group = group_of(&seed);
+        let root = temp_root("store-corrupt");
+        let seed = stored_runner(&root);
+        let group = store_group(&seed);
         assert!(seed.run_cells(&group.keys).is_ok());
 
         // Truncate every artifact mid-payload.
         let mut originals = BTreeMap::new();
-        for entry in fs::read_dir(&root).unwrap().flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.ends_with(".art") {
-                let bytes = fs::read(entry.path()).unwrap();
-                fs::write(entry.path(), &bytes[..bytes.len() / 2]).unwrap();
-                originals.insert(name, bytes);
-            }
+        for name in artifact_names(&root) {
+            let bytes = fs::read(root.join(&name)).unwrap();
+            fs::write(root.join(&name), &bytes[..bytes.len() / 2]).unwrap();
+            originals.insert(name, bytes);
         }
-        assert_eq!(originals.len(), 2);
+        assert_eq!(originals.len(), 3);
 
-        let healed = Runner::in_memory(ExperimentScale::Quick)
-            .serial()
-            .with_store(Some(Store::open(&root)));
-        let group_healed = group_of(&healed);
-        assert!(healed.run_cells(&group_healed.keys).is_ok());
+        let healed = stored_runner(&root);
+        assert!(healed.run_cells(&group.keys).is_ok());
         let stats = healed.stats();
-        assert_eq!(stats.store_computed, 2, "corrupt artifacts recomputed");
+        assert_eq!(stats.store_computed, 3, "corrupt artifacts recomputed");
         assert_eq!(stats.store_hits, 0);
-        for key in &group.keys {
-            let a = seed.result(key).unwrap();
-            let b = healed.result(key).unwrap();
-            assert_eq!(a.cta.to_bits(), b.cta.to_bits());
-            assert_eq!(a.asr.to_bits(), b.asr.to_bits());
-        }
+        assert_same_results(&seed, &healed, &group.keys);
         // The re-published artifacts are byte-identical to the originals and
         // the corrupt bytes were kept for inspection.
         for (name, bytes) in &originals {
             assert_eq!(&fs::read(root.join(name)).unwrap(), bytes, "{}", name);
             assert!(root.join(format!("{}.corrupt", name)).exists(), "{}", name);
+            fs::remove_file(root.join(format!("{}.corrupt", name))).unwrap();
         }
+
+        // A single bit flipped inside the cell artifact: the cell is
+        // quarantined and recomputed (from the intact stages) to the same
+        // bytes.
+        let cell = root.join(seed.cell_store_key(&group.keys[0]).file_name());
+        let pristine = fs::read(&cell).unwrap();
+        let mut flipped = pristine.clone();
+        let middle = flipped.len() - 10;
+        flipped[middle] ^= 0x01;
+        fs::write(&cell, &flipped).unwrap();
+        let reflipped = stored_runner(&root);
+        assert!(reflipped.run_cells(&group.keys).is_ok());
+        let stats = reflipped.stats();
+        assert_eq!(stats.cells_computed, 1);
+        assert_eq!((stats.store_hits, stats.store_computed), (2, 1));
+        assert_eq!(fs::read(&cell).unwrap(), pristine);
+        assert_eq!(
+            fs::read(cell.with_extension("art.corrupt")).unwrap(),
+            flipped,
+            "the flipped bytes were quarantined"
+        );
+        assert_same_results(&seed, &reflipped, &group.keys);
 
         let _ = fs::remove_dir_all(&root);
     }
@@ -2705,45 +2422,49 @@ mod tests {
     fn persist_failures_surface_without_failing_the_cell() {
         use bgc_runtime::{FaultAction, FaultSpec};
 
-        let dir = std::env::temp_dir().join(format!("bgc-persist-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let reference = Runner::in_memory(ExperimentScale::Quick).serial();
+        let group = store_group(&reference);
+        assert!(reference.run_cells(&group.keys).is_ok());
 
-        let runner = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir.clone()))
-            .serial()
-            .with_fault_plan(
-                FaultPlan::new().with(FaultSpec::new("runner.persist", FaultAction::IoError)),
-            );
-        let group = runner.group(
-            DatasetKind::Cora,
-            CondensationKind::GCondX,
-            AttackKind::Bgc,
-            0.026,
-            EvalKind::Standard,
-            CellOverrides {
-                outer_epochs: Some(4),
-                ..CellOverrides::default()
-            },
-        );
-        let report = runner.run_cells(&group.keys);
-        // The cell itself succeeded; only its persistence failed.
+        // A store root that cannot be created (a file is in the way):
+        // the cell and both stages degrade to in-process compute and the
+        // grid still completes, bit-identically.
+        let file_as_root = temp_root("store-file");
+        fs::write(&file_as_root, b"not a directory").unwrap();
+        let degraded = stored_runner(&file_as_root);
+        let report = degraded.run_cells(&group.keys);
         assert!(report.is_ok());
-        assert_eq!(report.persist_failures(), 1);
-        assert!(report.outcomes[0].persist_error.is_some());
-        assert_eq!(runner.stats().persist_failures, 1);
-        assert!(runner.result(&group.keys[0]).is_ok());
-        // The atomic-rename protocol left neither a live file nor a temp
-        // file behind.
-        let path = dir.join(group.keys[0].file_name());
-        assert!(!path.exists());
-        let leftovers: Vec<_> = fs::read_dir(&dir)
-            .map(|entries| entries.flatten().collect())
-            .unwrap_or_default();
-        assert!(
-            leftovers.is_empty(),
-            "no partial/tmp files: {:?}",
-            leftovers
-        );
+        let stats = degraded.stats();
+        assert_eq!(stats.store_degraded, 3, "cell and both stages degraded");
+        assert_eq!(stats.store_hits + stats.store_computed, 0);
+        assert_eq!(stats.cells_computed, 1);
+        assert_same_results(&reference, &degraded, &group.keys);
+        let _ = fs::remove_file(&file_as_root);
 
-        let _ = fs::remove_dir_all(&dir);
+        // A write failure of the cell artifact itself (the third write,
+        // after the clean and attack stages): the cell succeeds, and the
+        // atomic-rename protocol leaves neither a live cell artifact nor a
+        // temp file behind.
+        let root = temp_root("store-write-fault");
+        let faulted = stored_runner(&root).with_fault_plan(
+            FaultPlan::new().with(FaultSpec::new("store.write", FaultAction::IoError).on_hit(3)),
+        );
+        assert!(faulted.run_cells(&group.keys).is_ok());
+        assert_same_results(&reference, &faulted, &group.keys);
+        let cell = faulted.cell_store_key(&group.keys[0]).file_name();
+        let names: Vec<String> = fs::read_dir(&root)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(!names.contains(&cell), "no live cell artifact: {:?}", names);
+        assert!(
+            names.iter().all(|n| !n.contains(".tmp-")),
+            "no partial/tmp files: {:?}",
+            names
+        );
+        assert_eq!(artifact_names(&root).len(), 2, "both stages were stored");
+
+        let _ = fs::remove_dir_all(&root);
     }
 }

@@ -1,5 +1,6 @@
-//! Byte-identical-output tests: the grid's observable outputs — persisted
-//! cell files and per-cell results — must not depend on cell submission
+//! Byte-identical-output tests: the grid's observable outputs — the
+//! store's cell and stage artifacts and per-cell results — must not depend
+//! on cell submission
 //! order or on serial vs. parallel execution.  This is the behavioural
 //! guarantee behind the `nondet-iteration` lint rule: every map on the
 //! canonicalization/persist/report path is a `BTreeMap`, so no hash-seed
@@ -11,6 +12,7 @@ use std::path::{Path, PathBuf};
 use bgc_condense::CondensationKind;
 use bgc_eval::{CellKey, ExperimentScale, Runner};
 use bgc_graph::DatasetKind;
+use bgc_store::{parse_artifact_canon, Store};
 
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -18,19 +20,26 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// The persisted cell files of `dir` as sorted `(file name, bytes)` pairs.
-fn cell_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+/// The live artifacts of the store at `dir` as sorted `(file name, bytes)`
+/// pairs.
+fn artifacts(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let mut files = Vec::new();
-    for entry in fs::read_dir(dir).expect("cache dir exists") {
-        let path = entry.expect("cache dir entry").path();
+    for entry in fs::read_dir(dir).expect("store dir exists") {
+        let path = entry.expect("store dir entry").path();
         let name = path
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
-        files.push((name, fs::read(&path).expect("cell file readable")));
+        if name.ends_with(".art") {
+            files.push((name, fs::read(&path).expect("artifact readable")));
+        }
     }
     files.sort();
     files
+}
+
+fn stored_runner(dir: &Path) -> Runner {
+    Runner::in_memory(ExperimentScale::Quick).with_store(Some(Store::open(dir)))
 }
 
 #[test]
@@ -39,7 +48,7 @@ fn grid_outputs_are_byte_identical_across_order_and_parallelism() {
     let dir_parallel = fresh_dir("determinism_parallel");
 
     // Serial runner, cells submitted in natural order.
-    let serial = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir_serial.clone())).serial();
+    let serial = stored_runner(&dir_serial).serial();
     let g1 = serial.bgc_group(DatasetKind::Cora, CondensationKind::GCondX, 0.026);
     let g2 = serial.bgc_group(DatasetKind::Cora, CondensationKind::DcGraph, 0.026);
     let keys: Vec<CellKey> = g1.keys.iter().chain(g2.keys.iter()).cloned().collect();
@@ -47,7 +56,7 @@ fn grid_outputs_are_byte_identical_across_order_and_parallelism() {
     assert!(report.is_ok(), "{}", report.summary());
 
     // Parallel runner (default thread pool), same cells submitted reversed.
-    let parallel = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir_parallel.clone()));
+    let parallel = stored_runner(&dir_parallel);
     let reversed: Vec<CellKey> = keys.iter().rev().cloned().collect();
     let report = parallel.run_cells(&reversed);
     assert!(report.is_ok(), "{}", report.summary());
@@ -63,17 +72,24 @@ fn grid_outputs_are_byte_identical_across_order_and_parallelism() {
         assert_eq!(a.asr_nodes, b.asr_nodes, "{}", key.canon());
     }
 
-    // The persisted caches are byte-identical: same file names, same bytes.
-    let files_serial = cell_files(&dir_serial);
-    let files_parallel = cell_files(&dir_parallel);
-    assert_eq!(files_serial.len(), keys.len(), "one file per cell");
+    // The stores are byte-identical: same file names, same bytes, one cell
+    // artifact per cell besides the shared stage artifacts.
+    let files_serial = artifacts(&dir_serial);
+    let files_parallel = artifacts(&dir_parallel);
+    let cells = files_serial
+        .iter()
+        .filter(|(_, bytes)| {
+            parse_artifact_canon(bytes).is_ok_and(|canon| canon.starts_with("k1|cell|"))
+        })
+        .count();
+    assert_eq!(cells, keys.len(), "one cell artifact per cell");
     let names: Vec<&str> = files_serial.iter().map(|(n, _)| n.as_str()).collect();
     let names_parallel: Vec<&str> = files_parallel.iter().map(|(n, _)| n.as_str()).collect();
     assert_eq!(names, names_parallel);
     for ((name, a), (_, b)) in files_serial.iter().zip(&files_parallel) {
         assert_eq!(
             a, b,
-            "cell file {name} differs between serial and parallel runs"
+            "artifact {name} differs between serial and parallel runs"
         );
     }
 }

@@ -2,9 +2,10 @@
 //! `bgc_eval` API: injected panics stay isolated to their cell under
 //! `keep_going`, bounded retries heal transient faults bit-identically,
 //! cell deadlines cancel cooperatively inside the training stack, and
-//! corrupt cache files are quarantined and recomputed to the same bytes.
+//! corrupt cell artifacts are quarantined and recomputed to the same bytes.
 
 use std::fs;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use bgc_condense::CondensationKind;
@@ -12,6 +13,7 @@ use bgc_eval::{
     CellStatus, ExperimentScale, FaultAction, FaultPlan, FaultSpec, GridReport, Runner,
 };
 use bgc_graph::DatasetKind;
+use bgc_store::{parse_artifact_canon, Store};
 
 fn quick_runner() -> Runner {
     Runner::in_memory(ExperimentScale::Quick).serial()
@@ -115,68 +117,101 @@ fn cell_deadline_cancels_inside_the_training_loop() {
     assert_eq!(outcome.attempts, 1, "timeouts are not retried");
 }
 
+/// A fresh store root under the system temp dir.
+fn temp_store(tag: &str) -> PathBuf {
+    let root = std::env::temp_dir().join(format!("bgc-integration-{}-{}", tag, std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    root
+}
+
+fn stored_runner(root: &Path) -> Runner {
+    quick_runner().with_store(Some(Store::open(root)))
+}
+
+/// The store's live artifacts as sorted paths.
+fn artifacts(root: &Path) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = fs::read_dir(root)
+        .map(|entries| entries.filter_map(|e| e.ok().map(|e| e.path())).collect())
+        .unwrap_or_default();
+    paths.retain(|path| path.extension().is_some_and(|ext| ext == "art"));
+    paths.sort();
+    paths
+}
+
 #[test]
 fn corrupt_cache_files_quarantine_and_heal_byte_identically() {
-    let dir = std::env::temp_dir().join(format!("bgc-integration-corrupt-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
+    let root = temp_store("corrupt");
 
-    // Populate the cache and snapshot the pristine cell file.
-    let runner = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir.clone())).serial();
+    // Populate the store and snapshot the pristine cell artifact.
+    let runner = stored_runner(&root);
     let group = runner.bgc_group(DatasetKind::Cora, CondensationKind::GCondX, 0.026);
     assert!(runner.run_cells(&group.keys).is_ok());
-    let cell_file = fs::read_dir(&dir)
-        .expect("cache dir exists")
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .find(|path| path.extension().is_some_and(|ext| ext == "json"))
-        .expect("one cell file persisted");
-    let pristine = fs::read(&cell_file).expect("pristine bytes");
+    let cell_artifact = artifacts(&root)
+        .into_iter()
+        .find(|path| {
+            let bytes = fs::read(path).expect("artifact readable");
+            parse_artifact_canon(&bytes).is_ok_and(|canon| canon.starts_with("k1|cell|"))
+        })
+        .expect("one cell artifact stored");
+    let pristine = fs::read(&cell_artifact).expect("pristine bytes");
 
-    // Truncate the file mid-payload; a fresh runner must quarantine it,
-    // recompute, and persist the identical bytes again.
-    fs::write(&cell_file, &pristine[..pristine.len() / 2]).expect("truncate");
-    let recovery = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir.clone())).serial();
+    // Truncate the artifact mid-payload; a fresh runner must quarantine it,
+    // recompute, and store the identical bytes again.
+    fs::write(&cell_artifact, &pristine[..pristine.len() / 2]).expect("truncate");
+    let recovery = stored_runner(&root);
     let group = recovery.bgc_group(DatasetKind::Cora, CondensationKind::GCondX, 0.026);
     assert!(recovery.run_cells(&group.keys).is_ok());
-    let stats = recovery.stats();
-    assert_eq!(stats.cells_quarantined, 1);
-    assert_eq!(stats.cells_computed, 1);
-    assert_eq!(stats.cell_disk_hits, 0);
-    let quarantined = cell_file.with_extension("json.corrupt");
+    assert_eq!(recovery.stats().cells_computed, 1);
+    let store = recovery.store().expect("store attached");
+    assert_eq!(store.counters().quarantined, 1);
+    let quarantined = cell_artifact.with_extension("art.corrupt");
     assert!(quarantined.exists(), "corrupt file kept for inspection");
     assert_eq!(
-        fs::read(&cell_file).expect("healed bytes"),
+        fs::read(&cell_artifact).expect("healed bytes"),
         pristine,
-        "recomputed cell file is byte-identical"
+        "recomputed cell artifact is byte-identical"
     );
 
-    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&root);
 }
 
 #[test]
 fn injected_persist_faults_keep_results_usable() {
-    // A persist failure must surface in the report without failing the cell:
-    // the in-memory result stays valid and no partial file is left behind.
-    let dir = std::env::temp_dir().join(format!("bgc-integration-persist-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
+    // A store write failure must not fail the cell: the in-memory result
+    // stays valid (and bit-identical) and no partial file is left behind.
+    let root = temp_store("persist");
 
-    let plan = FaultPlan::new().with(FaultSpec::new("runner.persist", FaultAction::IoError));
-    let runner = Runner::with_cache_dir(ExperimentScale::Quick, Some(dir.clone()))
-        .serial()
-        .with_fault_plan(plan);
+    let plan = FaultPlan::new().with(FaultSpec::new("store.write", FaultAction::IoError));
+    let runner = stored_runner(&root).with_fault_plan(plan);
     let group = runner.bgc_group(DatasetKind::Cora, CondensationKind::GCondX, 0.026);
     let report = runner.run_cells(&group.keys);
 
-    assert!(report.is_ok(), "persist failures do not fail the cell");
-    assert_eq!(report.persist_failures(), 1);
-    assert!(runner.result(&group.keys[0]).is_ok());
-    let leftovers: Vec<_> = fs::read_dir(&dir)
-        .map(|entries| entries.filter_map(|e| e.ok().map(|e| e.path())).collect())
+    assert!(report.is_ok(), "store write failures do not fail the cell");
+    let reference = quick_runner();
+    assert!(reference.run_cells(&group.keys).is_ok());
+    let (a, b) = (
+        runner.result(&group.keys[0]).expect("faulted result"),
+        reference.result(&group.keys[0]).expect("reference result"),
+    );
+    assert_eq!(a.cta.to_bits(), b.cta.to_bits());
+    assert_eq!(a.asr.to_bits(), b.asr.to_bits());
+    let leftovers: Vec<String> = fs::read_dir(&root)
+        .map(|entries| {
+            entries
+                .filter_map(|e| e.ok())
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .filter(|name| name.contains(".tmp-"))
+                .collect()
+        })
         .unwrap_or_default();
     assert!(
         leftovers.is_empty(),
-        "no partial files after a failed persist: {:?}",
+        "no partial files after a failed write: {:?}",
         leftovers
     );
+    // The one faulted write (the first stage) is missing; the cell and the
+    // other stage were stored.
+    assert_eq!(artifacts(&root).len(), 2);
 
-    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&root);
 }

@@ -1,19 +1,19 @@
-//! Fixture for `unregistered-fault-point` over a daemon-style crate: the
-//! three registered `daemon.*` points are silent, one bogus daemon literal
-//! is a violation (1 finding).
+//! Fixture for `unregistered-fault-point` over a second crate: the three
+//! registered `store.*` points are silent, one bogus literal is a violation
+//! (1 finding).
 
 use bgc_runtime::fault;
 
-pub fn accept() {
-    fault::fire("daemon.accept");
+pub fn read() -> std::io::Result<()> {
+    fault::fire_io("store.read")
 }
 
-pub fn request() {
-    fault::fire("daemon.request");
+pub fn lock() -> std::io::Result<()> {
+    fault::fire_io("store.lock")
 }
 
-pub fn persist() -> std::io::Result<()> {
-    fault::fire_io("daemon.persist")
+pub fn write() -> std::io::Result<()> {
+    fault::fire_io("store.write")
 }
 
 pub fn unregistered() {

@@ -55,7 +55,7 @@ fn fixture_workspace_reports_exactly_the_planted_violations() {
         .all(|(file, _)| *file == "crates/demo/src/wallclock_positive.rs"));
 
     // unregistered-fault-point: the two bogus literals only; the
-    // registered points (including the daemon crate's `daemon.*` set) and
+    // registered points (including the second crate's `store.*` set) and
     // the test-scope toy point are silent.
     let faults = by_rule(Rule::UnregisteredFaultPoint);
     assert_eq!(faults.len(), 2, "{faults:?}");

@@ -33,7 +33,7 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
@@ -41,25 +41,6 @@ use std::time::Instant;
 use bgc_graph::{mix_seed, Graph, NeighborSampler, SampledBatch, SamplerWorkspace};
 use bgc_tensor::init::{rng_from_seed, shuffle};
 use bgc_tensor::{BufferPool, Matrix};
-
-// Process-wide default for `TrainConfig::prefetch_depth`, overridable from
-// the CLI (`--prefetch-depth`).  2 is deep enough to hide sampling behind
-// one batch of compute plus jitter, shallow enough to bound the memory
-// pinned in flight.
-static DEFAULT_DEPTH: AtomicUsize = AtomicUsize::new(2);
-
-/// The current default [`crate::TrainConfig::prefetch_depth`] (what
-/// `TrainConfig::default()` and `TrainConfig::quick()` use).
-pub fn default_prefetch_depth() -> usize {
-    DEFAULT_DEPTH.load(Ordering::Relaxed)
-}
-
-/// Overrides the process-wide default prefetch depth (`0` = synchronous).
-/// Purely a performance knob: training results are bit-identical at every
-/// depth, so this never affects experiment identity or caching.
-pub fn set_default_prefetch_depth(depth: usize) {
-    DEFAULT_DEPTH.store(depth, Ordering::Relaxed);
-}
 
 /// One ready-to-train minibatch: everything the trainer consumes that does
 /// not need the tape.

@@ -57,6 +57,11 @@ pub struct TrainConfig {
     pub prefetch_depth: usize,
 }
 
+/// Default [`TrainConfig::prefetch_depth`]: deep enough to hide sampling
+/// behind one batch of compute plus jitter, shallow enough to bound the
+/// memory pinned in flight.
+const DEFAULT_PREFETCH_DEPTH: usize = 2;
+
 impl Default for TrainConfig {
     fn default() -> Self {
         Self {
@@ -65,7 +70,7 @@ impl Default for TrainConfig {
             weight_decay: 5e-4,
             eval_every: 10,
             patience: Some(10),
-            prefetch_depth: pipeline::default_prefetch_depth(),
+            prefetch_depth: DEFAULT_PREFETCH_DEPTH,
         }
     }
 }
@@ -79,7 +84,7 @@ impl TrainConfig {
             weight_decay: 5e-4,
             eval_every: 10,
             patience: None,
-            prefetch_depth: pipeline::default_prefetch_depth(),
+            prefetch_depth: DEFAULT_PREFETCH_DEPTH,
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Cooperative cancellation with deadlines.
 //!
 //! A [`CancelToken`] carries an optional deadline and a manual cancel flag.
-//! The owner of a unit of work (the experiment runner, later a daemon
-//! request handler) creates a token and [`CancelToken::enter`]s it for the
+//! The owner of a unit of work (the experiment runner, or a CLI invocation
+//! with a `--deadline`) creates a token and [`CancelToken::enter`]s it for the
 //! duration of the work on the executing thread; the long loops beneath —
 //! trainer epochs, condensation outer epochs — call [`checkpoint`] once per
 //! iteration.  When the token is cancelled or past its deadline, the
@@ -85,8 +85,8 @@ impl CancelToken {
 
     /// A child token with its own deadline that is *also* cancelled whenever
     /// this (or any ancestor) token cancels or times out.  The experiment
-    /// runner uses this to compose a request-level deadline (a daemon
-    /// request, a whole-invocation `--deadline`) with the per-cell timeout:
+    /// runner uses this to compose a whole-invocation `--deadline` with the
+    /// per-cell timeout:
     /// the cell's checkpoints observe whichever fires first.
     pub fn child_with_timeout(&self, timeout: Duration) -> Self {
         Self {

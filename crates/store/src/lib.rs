@@ -2,11 +2,12 @@
 //!
 //! Crash-safe, content-addressed artifact store for the BGC reproduction.
 //!
-//! Stage results (clean condensations, attack artifacts) are addressed by a
-//! hash of *everything that produced them*: dataset content fingerprints,
-//! hyper-parameters, upstream artifact hashes, and a per-stage code epoch
-//! bumped whenever the implementation changes — so invalidation is precise
-//! instead of absent, and nothing stale is ever served.
+//! Stage results (clean condensations, attack artifacts, finished cells) are
+//! addressed by a hash of *everything that produced them*: dataset content
+//! fingerprints, hyper-parameters, upstream artifact hashes (or, for a cell,
+//! its canonical key), and a per-stage code epoch bumped whenever the
+//! implementation changes — so invalidation is precise instead of absent,
+//! and nothing stale is ever served.
 //!
 //! Robustness properties, by construction:
 //!
@@ -14,8 +15,8 @@
 //!   published by one atomic rename; every artifact carries a
 //!   length-framed FNV-1a integrity digest, so truncation or corruption is
 //!   detected on read and the file is quarantined and recomputed.
-//! * **Multi-process single-flight** — concurrent `bgc` processes and the
-//!   daemon elect one computing holder per missing artifact via `O_EXCL`
+//! * **Multi-process single-flight** — concurrent `bgc` processes elect one
+//!   computing holder per missing artifact via `O_EXCL`
 //!   lock files; waiters block with a deadline and read the result.
 //!   Abandoned locks are recovered by pid probe (with an mtime lease as
 //!   the portable fallback).

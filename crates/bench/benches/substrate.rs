@@ -8,7 +8,8 @@
 //! Cora/Citeseer/ogbn-arxiv-like shapes, times one GC-SNTK condensation
 //! iteration end-to-end, and writes the results to `BENCH_substrate.json` at
 //! the workspace root (`target/bench-quick/` under `BENCH_QUICK=1`) so the speedup is recorded, not asserted (both
-//! `matmul_transpose` and `transpose_matmul` warn below 3x).  Hard same-run
+//! `matmul_transpose` and `transpose_matmul` warn below 3x; narrow 7-column
+//! gemm and gemm_tn warn when slower than 8 columns).  Hard same-run
 //! gates: the runtime-dispatched SIMD gemm must agree with the scalar
 //! reference on awkward shapes and be deterministic.  A `thread_scaling`
 //! column (threads 1/2/4/physical) is measured by re-executing this binary
@@ -324,6 +325,52 @@ fn bench_substrate_speedup(_c: &mut Criterion) {
         dense_entries.join(",\n")
     ));
 
+    // --- Narrow outputs (`n < LANES`, e.g. 6- and 7-class logits) against
+    // --- the 8-wide vector path, serial kernels. Recorded, and warned on
+    // --- when 7 columns cost more than 8.
+    let (nm, nk) = (1024usize, 128usize);
+    let mut narrow_entries = Vec::new();
+    let mut narrow_us = std::collections::BTreeMap::new();
+    for n in [6usize, 7, 8] {
+        let a = randn(nm, nk, 0.0, 1.0, &mut rng);
+        let b = randn(nk, n, 0.0, 1.0, &mut rng);
+        let at = randn(nk, nm, 0.0, 1.0, &mut rng);
+        let mut out = vec![0.0f32; nm * n];
+        const CALLS: usize = 50;
+        for (kernel_name, tn) in [("gemm", false), ("gemm_tn", true)] {
+            let secs = best_secs(reps.max(3), || {
+                for _ in 0..CALLS {
+                    out.fill(0.0);
+                    if tn {
+                        kernel::gemm_tn_serial(nk, nm, n, at.data(), b.data(), &mut out);
+                    } else {
+                        kernel::gemm_serial(nm, nk, n, a.data(), b.data(), &mut out);
+                    }
+                    black_box(&out);
+                }
+            }) / CALLS as f64;
+            let name = format!("{kernel_name}_{nm}x{nk}x{n}");
+            let gflops = 2.0 * (nm * nk * n) as f64 / secs / 1e9;
+            println!(
+                "substrate_speedup/narrow/{:<26} {:.1} us  {:.2} GFLOP/s",
+                name,
+                secs * 1e6,
+                gflops
+            );
+            narrow_entries.push(format!(
+                "    \"{}\": {{\"microseconds\": {:.3}, \"gflops\": {:.3}}}",
+                name,
+                secs * 1e6,
+                gflops
+            ));
+            narrow_us.insert((kernel_name, n), secs * 1e6);
+        }
+    }
+    sections.push(format!(
+        "  \"narrow_gemm\": {{\n{}\n  }}",
+        narrow_entries.join(",\n")
+    ));
+
     // --- Sparse GFLOP/s (2 * nnz * feats flops) at dataset-like shapes.
     let mut sparse_entries = Vec::new();
     for &(name, nodes, deg, feats) in &[
@@ -426,6 +473,15 @@ fn bench_substrate_speedup(_c: &mut Criterion) {
              reference on this machine (reference result: >= 3x)",
             mt_speedup
         );
+    }
+    for kernel_name in ["gemm", "gemm_tn"] {
+        let (seven, eight) = (narrow_us[&(kernel_name, 7)], narrow_us[&(kernel_name, 8)]);
+        if seven > eight {
+            eprintln!(
+                "substrate_speedup: WARNING: {kernel_name} {nm}x{nk}x7 takes {seven:.1} us, \
+                 more than the 8-column product ({eight:.1} us)"
+            );
+        }
     }
     if tm_speedup < 3.0 {
         eprintln!(

@@ -11,15 +11,36 @@
 //!   graph `G_P` instead of the clean graph,
 //! * the surrogate SGC model `f_c` (Eq. 12/16), whose weight matrix lives in
 //!   the state and is refreshed/trained here.
+//!
+//! # The real-graph class pass
+//!
+//! Every step first computes the per-class surrogate gradients on the real
+//! graph, `∇_W L_c = Z_cᵀ (softmax(Z_c W) − Y_c) / n_c`. That pass reads
+//! `Z`'s rows in place: each class's training nodes are listed once per
+//! graph, and the class is walked [`KC`] rows at a time. Each chunk's
+//! logits come from [`kernel::gemm_gather`], are turned into
+//! `softmax − one-hot` in a `KC x C` scratch buffer, and
+//! [`kernel::gemm_tn_gather`] accumulates the chunk into the class's
+//! `d x C` gradient. No `Z_c` copy is made. The sums do not change:
+//! `gemm_tn` splits its depth on `KC` boundaries anyway, so chunk-wise
+//! accumulation repeats the whole product's sequence, and a row's logits
+//! never depend on the other rows. The gradients are bit-identical to the
+//! former `select_rows` → `matmul` → `softmax_rows` → `sub` →
+//! `transpose_matmul` → `scale` chain. Classes run as parallel jobs once the
+//! pass reaches [`PAR_GEMM_WORK`] multiply-adds. Each job owns its output,
+//! so thread count does not change a bit, and small graphs stay serial.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use rayon::prelude::*;
 
 use bgc_graph::{CondensedGraph, Graph};
 use bgc_nn::{Adam, Optimizer};
 use bgc_tensor::init::{rng_from_seed, xavier_uniform};
+use bgc_tensor::kernel::{self, KC, PAR_GEMM_WORK};
+use bgc_tensor::matrix::softmax_row_in_place;
 use bgc_tensor::{Matrix, Tape};
 
 use crate::config::CondensationConfig;
@@ -106,6 +127,68 @@ pub struct GradientMatchingState {
     x_zero_grad: Matrix,
     structure_zero_grads: Vec<Matrix>,
     scratch: SurrogateScratch,
+    /// Real training nodes per class, for the last graph stepped on.
+    real_classes: Option<RealClasses>,
+}
+
+/// The real graph's training nodes grouped by class, in split order. Kept
+/// across steps and rebuilt only when the training split or its labels
+/// change (BGC steps on one poisoned graph whose features alone change).
+struct RealClasses {
+    train: Vec<usize>,
+    train_labels: Vec<usize>,
+    by_class: Vec<Vec<usize>>,
+}
+
+impl RealClasses {
+    fn new(graph: &Graph, num_classes: usize) -> Self {
+        let train = graph.split.train.clone();
+        let train_labels: Vec<usize> = train.iter().map(|&i| graph.labels[i]).collect();
+        let mut by_class = vec![Vec::new(); num_classes];
+        for (&node, &label) in train.iter().zip(&train_labels) {
+            if let Some(nodes) = by_class.get_mut(label) {
+                nodes.push(node);
+            }
+        }
+        Self {
+            train,
+            train_labels,
+            by_class,
+        }
+    }
+
+    /// Whether `graph` has this training split with these labels.
+    fn describes(&self, graph: &Graph) -> bool {
+        self.train == graph.split.train
+            && self
+                .train
+                .iter()
+                .zip(&self.train_labels)
+                .all(|(&node, &label)| graph.labels.get(node) == Some(&label))
+    }
+}
+
+/// Surrogate gradient of one class on the real graph, `Z_cᵀ (softmax(Z_c W)
+/// − Y_c) / n_c` with `Z_c` the rows `nodes` of `z` (see the module docs
+/// for the chunked pass and why it is bit-identical to the matrix chain).
+fn real_class_gradient(z: &Matrix, nodes: &[usize], weight: &Matrix, class: usize) -> Matrix {
+    let (d, c) = (z.cols(), weight.cols());
+    let mut grad = Matrix::zeros(d, c);
+    let mut diff = vec![0.0f32; KC.min(nodes.len()) * c];
+    for chunk in nodes.chunks(KC) {
+        let diff = &mut diff[..chunk.len() * c];
+        diff.fill(0.0);
+        kernel::gemm_gather(chunk, d, c, z.data(), weight.data(), diff);
+        for row in diff.chunks_exact_mut(c) {
+            softmax_row_in_place(row);
+            for (j, v) in row.iter_mut().enumerate() {
+                *v -= if j == class { 1.0 } else { 0.0 };
+            }
+        }
+        kernel::gemm_tn_gather(chunk, d, c, z.data(), diff, grad.data_mut());
+    }
+    grad.scale_assign(1.0 / nodes.len() as f32);
+    grad
 }
 
 impl GradientMatchingState {
@@ -196,6 +279,7 @@ impl GradientMatchingState {
             class_onehots,
             identity,
             structure_zero_grads,
+            real_classes: None,
         }
     }
 
@@ -303,27 +387,38 @@ impl GradientMatchingState {
         loss / self.syn_labels.len().max(1) as f32
     }
 
-    /// Per-class surrogate gradient on the real (possibly poisoned) graph:
-    /// `∇_W L_c = Z_c^T (softmax(Z_c W) - Y_c) / n_c`, a constant during the
-    /// synthetic-graph update.
-    fn real_class_gradient(&self, z_real: &Matrix, graph: &Graph, class: usize) -> Option<Matrix> {
-        let nodes: Vec<usize> = graph
-            .split
-            .train
-            .iter()
-            .copied()
-            .filter(|&i| graph.labels[i] == class)
-            .collect();
-        if nodes.is_empty() {
-            return None;
+    /// Per-class surrogate gradients on the real (possibly poisoned) graph,
+    /// constants during the synthetic-graph update. `None` for classes with
+    /// no synthetic or no real training node. Classes run in parallel once
+    /// the pass reaches [`PAR_GEMM_WORK`] multiply-adds.
+    fn real_class_gradients(&mut self, graph: &Graph, z_real: &Matrix) -> Vec<Option<Arc<Matrix>>> {
+        let classes = match self.real_classes.take() {
+            Some(classes) if classes.describes(graph) => classes,
+            _ => RealClasses::new(graph, self.num_classes),
+        };
+        let by_class = &classes.by_class;
+        let weight = &self.surrogate_weight;
+        let syn_class_indices = &self.syn_class_indices;
+        let job = |class: usize| {
+            let nodes = &by_class[class];
+            (!nodes.is_empty() && !syn_class_indices[class].is_empty())
+                .then(|| Arc::new(real_class_gradient(z_real, nodes, weight, class)))
+        };
+        let rows: usize = by_class.iter().map(Vec::len).sum();
+        let work = rows * z_real.cols() * self.num_classes;
+        let mut grads: Vec<Option<Arc<Matrix>>> = vec![None; self.num_classes];
+        if work >= PAR_GEMM_WORK && rayon::current_num_threads() > 1 {
+            grads
+                .par_chunks_mut(1)
+                .enumerate()
+                .for_each(|(class, slot)| slot[0] = job(class));
+        } else {
+            for (class, slot) in grads.iter_mut().enumerate() {
+                *slot = job(class);
+            }
         }
-        let zc = z_real.select_rows(&nodes);
-        let labels: Vec<usize> = vec![class; nodes.len()];
-        let y = Matrix::one_hot(&labels, self.num_classes);
-        let logits = zc.matmul(&self.surrogate_weight);
-        let probs = logits.softmax_rows();
-        let diff = probs.sub(&y);
-        Some(zc.transpose_matmul(&diff).scale(1.0 / nodes.len() as f32))
+        self.real_classes = Some(classes);
+        grads
     }
 
     /// One outer condensation step (Eq. 18): matches per-class surrogate
@@ -344,18 +439,14 @@ impl GradientMatchingState {
             self.syn_features.cols(),
             "real representation feature dimension mismatch"
         );
-        // Per-class surrogate gradients on the real graph: plain (constant)
-        // matrices, computed before the tape section.
-        let real_grads: Vec<Option<Arc<Matrix>>> = (0..self.num_classes)
-            .map(|class| {
-                if self.syn_class_indices[class].is_empty() {
-                    None
-                } else {
-                    self.real_class_gradient(z_real, graph, class).map(Arc::new)
-                }
-            })
-            .collect();
+        let real_grads = self.real_class_gradients(graph, z_real);
+        self.match_gradients(real_grads)
+    }
 
+    /// The tape section of a step: matches the synthetic graph's per-class
+    /// gradients against `real_grads` and updates `X'` and the structure
+    /// generator. Returns the matching loss.
+    fn match_gradients(&mut self, real_grads: Vec<Option<Arc<Matrix>>>) -> f32 {
         self.tape.reset();
         let x_var = self.tape.leaf_copied(&self.syn_features);
         // Synthetic representation Z' (differentiable w.r.t. X' and structure).
@@ -381,14 +472,12 @@ impl GradientMatchingState {
 
         // Per-class matching terms.
         let mut total: Option<bgc_tensor::Var> = None;
-        let mut matched_classes = 0usize;
         for (class, real_grad) in real_grads.into_iter().enumerate() {
             let real_grad = match real_grad {
                 Some(g) => g,
                 None => continue,
             };
             let syn_idx = &self.syn_class_indices[class];
-            matched_classes += 1;
             let zc = self.tape.row_select(z_syn, syn_idx);
             let logits = self.tape.matmul(zc, w_const);
             let probs = self.tape.softmax_rows(logits);
@@ -429,7 +518,6 @@ impl GradientMatchingState {
         }
         self.tape.absorb(grads);
         self.epochs_done += 1;
-        let _ = matched_classes;
         loss_value
     }
 
@@ -485,6 +573,133 @@ mod tests {
         let config = CondensationConfig::quick(0.1);
         let state = GradientMatchingState::new(&graph, variant, config);
         (graph, state)
+    }
+
+    /// The former per-class chain: copy `Z_c`, then `matmul` →
+    /// `softmax_rows` → `sub` → `transpose_matmul` → `scale`.
+    fn select_rows_chain(z: &Matrix, nodes: &[usize], weight: &Matrix, class: usize) -> Matrix {
+        let zc = z.select_rows(nodes);
+        let y = Matrix::one_hot(&vec![class; nodes.len()], weight.cols());
+        let diff = zc.matmul(weight).softmax_rows().sub(&y);
+        zc.transpose_matmul(&diff).scale(1.0 / nodes.len() as f32)
+    }
+
+    /// The former gradients of every class, `None` where either side has
+    /// no node of the class.
+    fn select_rows_gradients(
+        state: &GradientMatchingState,
+        graph: &Graph,
+        z: &Matrix,
+    ) -> Vec<Option<Arc<Matrix>>> {
+        (0..state.num_classes)
+            .map(|class| {
+                let nodes: Vec<usize> = graph
+                    .split
+                    .train
+                    .iter()
+                    .copied()
+                    .filter(|&i| graph.labels[i] == class)
+                    .collect();
+                (!nodes.is_empty() && !state.syn_class_indices[class].is_empty())
+                    .then(|| Arc::new(select_rows_chain(z, &nodes, &state.surrogate_weight, class)))
+            })
+            .collect()
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn class_gradients_are_bit_identical_to_the_select_rows_chain() {
+        let mut rng = rng_from_seed(5);
+        for &classes in &[2usize, 6, 7, 8, 41] {
+            for &d in &[5usize, 37] {
+                let z = bgc_tensor::init::randn(400, d, 0.0, 1.0, &mut rng);
+                let weight = xavier_uniform(d, classes, &mut rng);
+                for &size in &[1usize, 3, 128, 129, 300] {
+                    let nodes: Vec<usize> = (0..size).map(|i| (i * 131 + 7) % 400).collect();
+                    let class = size % classes;
+                    let got = real_class_gradient(&z, &nodes, &weight, class);
+                    let want = select_rows_chain(&z, &nodes, &weight, class);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "C = {classes}, d = {d}, n_c = {size}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn class_pass_is_bit_identical_with_an_empty_class_and_a_changed_graph() {
+        let (graph, mut state) = quick_state(MatchingVariant::GCondX);
+        // Drop every training node of class 0: its gradient must be absent.
+        let mut without_zero = graph.clone();
+        without_zero.split.train.retain(|&i| graph.labels[i] != 0);
+        let z = state.real_representation(&graph);
+        for g in [&graph, &without_zero, &graph] {
+            let got = state.real_class_gradients(g, &z);
+            let want = select_rows_gradients(&state, g, &z);
+            assert_eq!(got.len(), want.len());
+            for (class, (got, want)) in got.iter().zip(&want).enumerate() {
+                match (got, want) {
+                    (Some(got), Some(want)) => assert_eq!(bits(got), bits(want), "class {class}"),
+                    (None, None) => {}
+                    _ => panic!("class {class}: presence differs"),
+                }
+            }
+            assert_eq!(got[0].is_none(), std::ptr::eq(g, &without_zero));
+        }
+    }
+
+    #[test]
+    fn run_is_bit_identical_to_the_select_rows_chain() {
+        // Full-size Cora's class pass (140 x 1433 x 7 multiply-adds) is
+        // above PAR_GEMM_WORK, so multi-core machines run its classes in
+        // parallel; the small graph stays serial.
+        let small = DatasetKind::Cora.load_small(3);
+        let full = DatasetKind::Cora.load(3);
+        for (variant, graph) in [
+            (MatchingVariant::DcGraph, &small),
+            (MatchingVariant::GCond, &small),
+            (MatchingVariant::GCondX, &small),
+            (MatchingVariant::GCondX, &full),
+        ] {
+            let mut config = CondensationConfig::quick(0.1);
+            config.outer_epochs = 6;
+            let mut state = GradientMatchingState::new(graph, variant, config.clone());
+            let losses = state.run(graph);
+
+            // The former loop, with the former per-class chain.
+            let mut reference = GradientMatchingState::new(graph, variant, config.clone());
+            let z = reference.real_representation(graph);
+            let mut want = Vec::new();
+            for epoch in 0..config.outer_epochs {
+                if epoch % config.surrogate_resample_every == 0 {
+                    reference.resample_surrogate();
+                }
+                reference.train_surrogate(config.surrogate_steps);
+                let grads = select_rows_gradients(&reference, graph, &z);
+                want.push(reference.match_gradients(grads));
+            }
+            let loss_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(loss_bits(&losses), loss_bits(&want), "{}", variant.name());
+            let (got, want) = (state.to_condensed(), reference.to_condensed());
+            assert_eq!(
+                bits(&got.features),
+                bits(&want.features),
+                "{}",
+                variant.name()
+            );
+            assert_eq!(
+                bits(&got.adjacency),
+                bits(&want.adjacency),
+                "{}",
+                variant.name()
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use bgc_graph::{k_hop_subgraph, Graph, NeighborSampler};
+use bgc_graph::{k_hop_subgraph, ComputationGraph, Graph, NeighborSampler};
 use bgc_nn::{AdjacencyRef, TrainingPlan};
 use bgc_tensor::{Matrix, Tape, Var};
 
@@ -33,6 +33,11 @@ pub struct AttachedGraph {
     pub norm_adj: Arc<Matrix>,
     /// Row index of the centre node (always 0).
     pub center: usize,
+    /// Hop distance of every row from the centre over the non-zeros of
+    /// `norm_adj` (see [`Matrix::hop_distances`]), cached for
+    /// [`AttachedGraph::propagated_center`]. Private: it must stay the
+    /// distances of `norm_adj`, and only [`AttachedGraph::new`] sets it.
+    hops: Arc<[usize]>,
     /// Number of computation-graph nodes (excluding the trigger).
     pub sub_nodes: usize,
     /// Number of trigger nodes.
@@ -40,6 +45,22 @@ pub struct AttachedGraph {
 }
 
 impl AttachedGraph {
+    /// Attaches a trigger block of `trigger_size` nodes to the extracted
+    /// computation graph `sub` of `node`.
+    fn new(node: usize, sub: ComputationGraph, trigger_size: usize) -> Self {
+        let norm_adj = normalized_attached_adjacency(&sub.adjacency, trigger_size, sub.center);
+        let hops = norm_adj.hop_distances(sub.center).into();
+        AttachedGraph {
+            node,
+            sub_features: Arc::new(sub.features),
+            norm_adj: Arc::new(norm_adj),
+            center: sub.center,
+            hops,
+            sub_nodes: sub.nodes.len(),
+            trigger_size,
+        }
+    }
+
     /// Total number of nodes including the trigger block.
     pub fn total_nodes(&self) -> usize {
         self.sub_nodes + self.trigger_size
@@ -50,16 +71,24 @@ impl AttachedGraph {
         AdjacencyRef::Dense(self.norm_adj.clone())
     }
 
-    /// Differentiable combined feature matrix: the constant computation-graph
-    /// features stacked over the (possibly differentiable) trigger features.
-    pub fn combined_features(&self, tape: &mut Tape, trigger_features: Var) -> Var {
+    /// Differentiable centre readout after `steps` propagation steps: row
+    /// `center` of `norm_adjᴷ · [sub_features; trigger_features]`, the
+    /// representation the surrogate classifies (see
+    /// [`Tape::propagate_readout`]).
+    pub fn propagated_center(&self, tape: &mut Tape, trigger_features: Var, steps: usize) -> Var {
         assert_eq!(
             tape.shape(trigger_features),
             (self.trigger_size, self.sub_features.cols()),
             "trigger feature block has the wrong shape"
         );
-        let base = tape.const_leaf(self.sub_features.clone());
-        tape.concat_rows(base, trigger_features)
+        tape.propagate_readout(
+            self.norm_adj.clone(),
+            &self.sub_features,
+            trigger_features,
+            self.hops.clone(),
+            self.center,
+            steps,
+        )
     }
 
     /// Plain combined feature matrix for non-differentiable evaluation.
@@ -123,15 +152,7 @@ pub fn attach_to_computation_graph(
     max_per_hop: usize,
 ) -> AttachedGraph {
     let sub = k_hop_subgraph(graph, node, khop, Some(max_per_hop));
-    let norm_adj = normalized_attached_adjacency(&sub.adjacency, trigger_size, sub.center);
-    AttachedGraph {
-        node,
-        sub_features: Arc::new(sub.features),
-        norm_adj: Arc::new(norm_adj),
-        center: sub.center,
-        sub_nodes: sub.nodes.len(),
-        trigger_size,
-    }
+    AttachedGraph::new(node, sub, trigger_size)
 }
 
 /// Extracts a *sampled* computation graph of `node` (randomized,
@@ -150,15 +171,7 @@ pub fn attach_to_sampled_computation_graph(
 ) -> AttachedGraph {
     let sampler = NeighborSampler::new(fanouts.to_vec(), seed ^ 0x47ac);
     let sub = sampler.sampled_computation_graph(graph, node);
-    let norm_adj = normalized_attached_adjacency(&sub.adjacency, trigger_size, sub.center);
-    AttachedGraph {
-        node,
-        sub_features: Arc::new(sub.features),
-        norm_adj: Arc::new(norm_adj),
-        center: sub.center,
-        sub_nodes: sub.nodes.len(),
-        trigger_size,
-    }
+    AttachedGraph::new(node, sub, trigger_size)
 }
 
 /// Attachment used by the ASR evaluation: full-batch plans keep the
@@ -257,6 +270,50 @@ mod tests {
         // Trigger block is fully connected.
         assert!(a.get(attached.sub_nodes, attached.sub_nodes + 1) > 0.0);
         assert!(a.get(attached.sub_nodes + 1, attached.sub_nodes + 2) > 0.0);
+    }
+
+    #[test]
+    fn propagated_center_is_bit_identical_to_concat_matmul_select() {
+        let graph = DatasetKind::Cora.load_small(5);
+        let d = graph.num_features();
+        let mut rng = rng_from_seed(3);
+        let weight = randn(d, graph.num_classes, 0.0, 1.0, &mut rng);
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for trigger_size in [1, 3] {
+            for &node in graph.split.train.iter().take(3) {
+                let attached = attach_to_computation_graph(&graph, node, trigger_size, 2, 8);
+                let trigger = randn(trigger_size, d, 0.0, 1.0, &mut rng);
+                for steps in 0..=3 {
+                    // Value and trigger gradient through the surrogate's
+                    // cross-entropy, as in the generator update.
+                    let run = |fused: bool| {
+                        let mut tape = Tape::new();
+                        let t = tape.leaf(trigger.clone());
+                        let center = if fused {
+                            attached.propagated_center(&mut tape, t, steps)
+                        } else {
+                            let base = tape.const_leaf(attached.sub_features.clone());
+                            let mut z = tape.concat_rows(base, t);
+                            for _ in 0..steps {
+                                z = tape.const_matmul(attached.norm_adj.clone(), z);
+                            }
+                            tape.row_select(z, &[attached.center])
+                        };
+                        let w = tape.leaf_detached(&weight);
+                        let logits = tape.matmul(center, w);
+                        let loss = tape.softmax_cross_entropy(logits, &[1]);
+                        let value = tape.value_ref(center).clone();
+                        let grads = tape.backward(loss);
+                        (value, grads.get(t).expect("trigger gradient").clone())
+                    };
+                    let (want_v, want_g) = run(false);
+                    let (got_v, got_g) = run(true);
+                    let case = format!("node {node}, size {trigger_size}, K = {steps}");
+                    assert_eq!(bits(&got_v), bits(&want_v), "value, {case}");
+                    assert_eq!(bits(&got_g), bits(&want_g), "trigger gradient, {case}");
+                }
+            }
+        }
     }
 
     #[test]

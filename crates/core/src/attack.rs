@@ -267,12 +267,8 @@ pub(crate) fn generator_update_step(
         };
         let rows: Vec<usize> = (i * config.trigger_size..(i + 1) * config.trigger_size).collect();
         let trigger_block = tape.row_select(batch.features, &rows);
-        let x = attached.combined_features(tape, trigger_block);
-        let mut z = x;
-        for _ in 0..config.condensation.propagation_steps {
-            z = tape.const_matmul(attached.norm_adj.clone(), z);
-        }
-        let center = tape.row_select(z, &[attached.center]);
+        let center =
+            attached.propagated_center(tape, trigger_block, config.condensation.propagation_steps);
         let logits = tape.matmul(center, w_const);
         let term = tape.softmax_cross_entropy(logits, &[config.target_class]);
         total = Some(match total {

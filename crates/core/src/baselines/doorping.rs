@@ -89,12 +89,11 @@ impl DoorpingAttack {
                     )
                 })
                 .clone();
-            let x = attached.combined_features(tape, trig_var);
-            let mut z = x;
-            for _ in 0..self.config.condensation.propagation_steps {
-                z = tape.const_matmul(attached.norm_adj.clone(), z);
-            }
-            let center = tape.row_select(z, &[attached.center]);
+            let center = attached.propagated_center(
+                tape,
+                trig_var,
+                self.config.condensation.propagation_steps,
+            );
             let logits = tape.matmul(center, w_const);
             let term = tape.softmax_cross_entropy(logits, &[self.config.target_class]);
             total = Some(match total {

@@ -460,9 +460,9 @@ impl Drop for LockGuard {
     }
 }
 
-/// Frames `payload` with the store's integrity header (the cell-file footer
-/// scheme adapted to binary payloads: the digest moves into a length-framed
-/// header so truncation anywhere is detectable):
+/// Frames `payload` with the store's integrity header: a length-framed
+/// header carrying the payload length and an FNV-1a digest, so truncation
+/// or corruption anywhere in the artifact is detectable:
 ///
 /// ```text
 /// #bgc-artifact v1 len=<payload-len hex16> fnv1a64=<digest hex16>\n

@@ -23,6 +23,17 @@
 //! * **Serial fallbacks.** Problems below [`PAR_GEMM_WORK`] multiply-adds
 //!   (or [`PAR_ELEM_WORK`] elements for the element-wise helpers) skip the
 //!   pool entirely.
+//! * **Narrow outputs at full width.** Products with fewer than [`LANES`]
+//!   output columns (6- and 7-class logits and their gradients) run on the
+//!   AVX2 tier as one masked 8-lane accumulator per output row, four rows
+//!   per pass over the depth, with `Aᵀ` read in place instead of packed.
+//!   Every lane keeps the portable `narrow_rows` sequence: `KU`-groups
+//!   summed left to right, then the depth tail, from a `+0` start. So the
+//!   result is bit-identical to the former narrow path and to the wide
+//!   path. [`gemm_scalar`] keeps the portable tier as the reference.
+//! * **Row gathers.** [`gemm_gather`] and [`gemm_tn_gather`] read the rows
+//!   of `A` named by an index list in place, bit-identical to a
+//!   `select_rows` copy followed by [`gemm`] / [`gemm_tn`].
 //!
 //! The pre-substrate reference implementations are retained as
 //! [`naive_matmul`], [`naive_transpose_matmul`] and
@@ -220,14 +231,38 @@ fn gemm_block(a_rows: &[f32], k: usize, n: usize, b: &[f32], c_block: &mut [f32]
     gemm_block_portable(a_rows, k, n, b, c_block, mb);
 }
 
-/// Narrow-output (`n < LANES`) dispatch shared by the portable and SIMD
-/// paths: outputs below one vector width (e.g. `num_classes`-wide logits)
-/// keep the whole output row in a register-resident accumulator across the
-/// depth loop instead of streaming it through memory per `axpy4` pass. The
-/// per-element floating-point sequence is identical to the wide path's
-/// (same fused four-term updates in the same order), so results stay
+/// Narrow-output (`n < LANES`) dispatch: outputs below one vector width
+/// (e.g. `num_classes`-wide logits) keep the whole output row in a
+/// register-resident accumulator across the depth loop instead of streaming
+/// it through memory per `axpy4` pass.
+///
+/// On the AVX2 tier each output row is one masked 8-lane vector
+/// ([`avx2::narrow_rows`]): lanes `j < n` load `B` and `C` through a lane
+/// mask, lanes `j >= n` read zeros and are never stored. The portable tier
+/// runs [`narrow_rows`]. Both perform the wide path's per-element sequence
+/// (same fused four-term updates, same order), so every tier and width is
 /// bit-identical.
+#[allow(unsafe_code)] // sanctioned SIMD dispatch (see crate-level lint note)
 fn narrow_block(a_rows: &[f32], k: usize, n: usize, b: &[f32], c_block: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if simd_level() == SimdLevel::Avx2 && n > 0 {
+        let mb = c_block.len() / n;
+        assert!(
+            a_rows.len() == mb * k && c_block.len() == mb * n && b.len() >= k * n,
+            "narrow gemm: operand lengths do not match {mb} x {k} x {n}"
+        );
+        // SAFETY: Avx2 is only selected when the CPU has it; the assert
+        // above makes `a_rows` the row-major `mb x k` block, `b` at least
+        // the `k x n` operand and `c_block` `mb` whole `n`-wide rows.
+        unsafe { avx2::narrow_rows(a_rows, |i| i * k, |kk| kk, mb, k, n, b, c_block) };
+        return;
+    }
+    narrow_block_portable(a_rows, k, n, b, c_block);
+}
+
+/// Portable tier of [`narrow_block`] (also the reference the AVX2 twin must
+/// match bit for bit).
+fn narrow_block_portable(a_rows: &[f32], k: usize, n: usize, b: &[f32], c_block: &mut [f32]) {
     match n {
         0 => {}
         1 => narrow_rows::<1>(a_rows, k, b, c_block),
@@ -373,8 +408,9 @@ pub fn gemm_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut
 
 /// Serial variant of [`gemm`] that never dispatches to the SIMD
 /// micro-kernels: the reference side of the SIMD agreement gates in the
-/// substrate bench and the kernel tests. The dispatched path must match it
-/// bit for bit on every shape.
+/// substrate bench and the kernel tests. Narrow outputs (`n < LANES`) run
+/// the portable `narrow_rows`, the reference of the full-width AVX2 narrow
+/// kernel. The dispatched path must match it bit for bit on every shape.
 #[doc(hidden)]
 pub fn gemm_scalar(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
@@ -388,7 +424,7 @@ pub fn gemm_scalar(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut
         let mb = c_block.len() / n;
         let a_rows = &a[i0 * k..(i0 + mb) * k];
         if n < LANES {
-            narrow_block(a_rows, k, n, b, c_block);
+            narrow_block_portable(a_rows, k, n, b, c_block);
         } else {
             gemm_block_portable(a_rows, k, n, b, c_block, mb);
         }
@@ -404,22 +440,56 @@ pub fn gemm_scalar(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut
 /// a depth-group boundary, so each output element sees the same sequence of
 /// updates as [`transpose_into`] followed by [`gemm`]: the results are
 /// bit-identical, and the pack is spread over the parallel blocks instead of
-/// running serially over the whole operand first. Parallel above
-/// [`PAR_GEMM_WORK`] multiply-adds, like [`gemm`].
+/// running serially over the whole operand first. Narrow outputs
+/// (`n < LANES`) on the AVX2 tier skip the pack: the masked narrow kernel
+/// reads `Aᵀ` in place over the whole depth, which is the same per-element
+/// sequence again. Parallel above [`PAR_GEMM_WORK`] multiply-adds, like
+/// [`gemm`].
 pub fn gemm_tn(r: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert!(a.len() >= r * m, "gemm_tn: `a` is not {r} x {m}");
     let parallel = r * m * n >= PAR_GEMM_WORK && rayon::current_num_threads() > 1;
-    gemm_tn_blocks(r, m, n, a, b, out, parallel);
+    gemm_tn_blocks(r, |kk| kk, m, n, a, b, out, parallel);
 }
 
 /// Serial-only variant of [`gemm_tn`] (the reference side of its
 /// serial-vs-parallel bit-identity test).
 #[doc(hidden)]
 pub fn gemm_tn_serial(r: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    gemm_tn_blocks(r, m, n, a, b, out, false);
+    assert!(a.len() >= r * m, "gemm_tn: `a` is not {r} x {m}");
+    gemm_tn_blocks(r, |kk| kk, m, n, a, b, out, false);
 }
 
+/// Serial `C += A[rows]ᵀ · B`: [`gemm_tn`] whose depth row `kk` is row
+/// `rows[kk]` of the `m`-wide row-major `a`, read in place instead of
+/// through a [`Matrix::select_rows`](crate::Matrix::select_rows) copy. `b`
+/// is `rows.len() x n` and `out` is `m x n`. Bit-identical to gathering the
+/// rows first and running [`gemm_tn`]. Because `gemm_tn` splits its depth on
+/// `KC` boundaries, calling this on consecutive `KC`-row chunks of a longer
+/// row list (each with its chunk of `b`) accumulates exactly the whole
+/// list's product.
+///
+/// # Panics
+/// Panics when a row index is out of range for `a`.
+pub fn gemm_tn_gather(rows: &[usize], m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    if m == 0 {
+        return;
+    }
+    let a_rows = a.len() / m;
+    assert!(
+        rows.iter().all(|&row| row < a_rows),
+        "gemm_tn_gather: row index out of range for {a_rows} rows"
+    );
+    gemm_tn_blocks(rows.len(), |kk| rows[kk], m, n, a, b, out, false);
+}
+
+/// Shared body of [`gemm_tn`] and [`gemm_tn_gather`]: depth row `kk` of the
+/// product is row `depth_row(kk)` of `a`. Callers check that every such
+/// row exists in `a`; the operand and output shapes are checked here.
+#[allow(clippy::too_many_arguments)]
+#[allow(unsafe_code)] // sanctioned SIMD dispatch (see crate-level lint note)
 fn gemm_tn_blocks(
     r: usize,
+    depth_row: impl Fn(usize) -> usize + Sync,
     m: usize,
     n: usize,
     a: &[f32],
@@ -427,14 +497,29 @@ fn gemm_tn_blocks(
     out: &mut [f32],
     parallel: bool,
 ) {
-    debug_assert_eq!(a.len(), r * m);
-    debug_assert_eq!(b.len(), r * n);
-    debug_assert_eq!(out.len(), m * n);
+    assert!(
+        b.len() == r * n && out.len() == m * n,
+        "gemm_tn: `b` or the output does not match {r} x {m} x {n}"
+    );
     if m == 0 || n == 0 || r == 0 {
         return;
     }
-    let block = |blk: usize, c_block: &mut [f32]| {
-        let i0 = blk * MC;
+    #[cfg(target_arch = "x86_64")]
+    if n < LANES && simd_level() == SimdLevel::Avx2 {
+        for_each_block(out, n, parallel, |i0, c_block| {
+            let mb = c_block.len() / n;
+            // SAFETY: Avx2 is only selected when the CPU has it; element
+            // `(i, kk)` of the block's `Aᵀ` is `a[i0 + i + depth_row(kk) *
+            // m]` with `i0 + i < m` (the output is `m x n`) and
+            // `depth_row(kk)` a row of `a` (the callers' check); `b` is
+            // `r x n` and `c_block` holds `mb` whole rows.
+            unsafe {
+                avx2::narrow_rows(a, |i| i0 + i, |kk| depth_row(kk) * m, mb, r, n, b, c_block)
+            };
+        });
+        return;
+    }
+    for_each_block(out, n, parallel, |i0, c_block| {
         let mb = c_block.len() / n;
         // Sized to the depth actually used, so tiny shapes do not zero a
         // full `MC x KC` tile.
@@ -443,22 +528,64 @@ fn gemm_tn_blocks(
             let kb = KC.min(r - k0);
             let tile = &mut tile[..mb * kb];
             for kk in 0..kb {
-                let src = &a[(k0 + kk) * m + i0..][..mb];
+                let src = &a[depth_row(k0 + kk) * m + i0..][..mb];
                 for (i, &v) in src.iter().enumerate() {
                     tile[i * kb + kk] = v;
                 }
             }
             gemm_block(tile, kb, n, &b[k0 * n..(k0 + kb) * n], c_block);
         }
-    };
+    });
+}
+
+/// Runs `f(i0, c_block)` on every `MC`-row block of the `n`-wide `out`
+/// (`i0` is the block's first row), on the pool when `parallel`.
+fn for_each_block(out: &mut [f32], n: usize, parallel: bool, f: impl Fn(usize, &mut [f32]) + Sync) {
     if parallel {
         out.par_chunks_mut(MC * n)
             .enumerate()
-            .for_each(|(blk, c_block)| block(blk, c_block));
+            .for_each(|(blk, c_block)| f(blk * MC, c_block));
     } else {
         for (blk, c_block) in out.chunks_mut(MC * n).enumerate() {
-            block(blk, c_block);
+            f(blk * MC, c_block);
         }
+    }
+}
+
+/// Serial `C[i] += A[rows[i]] · B`: [`gemm`] over rows of the `k`-wide
+/// row-major `a` picked by an index list and read in place. `b` is `k x n`
+/// and `out` is `rows.len() x n`. Every output row repeats the sequence of
+/// the matching row of [`gemm`], so the result is bit-identical to
+/// gathering the rows first.
+///
+/// # Panics
+/// Panics when a row index is out of range for `a`.
+#[allow(unsafe_code)] // sanctioned SIMD dispatch (see crate-level lint note)
+pub fn gemm_gather(rows: &[usize], k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert!(
+        b.len() == k * n && out.len() == rows.len() * n,
+        "gemm_gather: `b` or the output does not match {} x {k} x {n}",
+        rows.len()
+    );
+    if n == 0 || k == 0 {
+        return;
+    }
+    let a_rows = a.len() / k;
+    assert!(
+        rows.iter().all(|&row| row < a_rows),
+        "gemm_gather: row index out of range for {a_rows} rows"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if n < LANES && simd_level() == SimdLevel::Avx2 {
+        // SAFETY: Avx2 is only selected when the CPU has it; every
+        // `rows[i]` is a row of `a` (checked above), so `rows[i] * k + kk`
+        // lies inside `a`; `b` is `k x n` and `out` holds `rows.len()` rows
+        // (asserted on entry).
+        unsafe { avx2::narrow_rows(a, |i| rows[i] * k, |kk| kk, rows.len(), k, n, b, out) };
+        return;
+    }
+    for (&row, c_row) in rows.iter().zip(out.chunks_exact_mut(n)) {
+        gemm_block(&a[row * k..(row + 1) * k], k, n, b, c_row);
     }
 }
 
@@ -848,6 +975,145 @@ mod avx2 {
             j += 1;
         }
     }
+
+    /// Lane mask selecting the first `n` of the eight f32 lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lane_mask(n: usize) -> __m256i {
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), lane)
+    }
+
+    /// Narrow-output (`n < LANES`) rows `c += A · B` at full vector width:
+    /// the AVX2 twin of [`super::narrow_rows`]. Each output row is one
+    /// 8-lane accumulator whose lanes `j < n` are loaded and stored through
+    /// a lane mask; masked lanes read zeros and are never written back, and
+    /// every lane's sequence is independent of the others. Four rows are
+    /// processed per pass so each masked load of `B` serves four
+    /// accumulators. Per lane the operations are the portable path's:
+    /// `acc += ((a0*b0 + a1*b1) + a2*b2) + a3*b3` per [`KU`]-group over the
+    /// whole depth, then `acc += a*b` for the depth tail, with separate
+    /// mul/add steps.
+    ///
+    /// The left operand is addressed, not packed: `A[i][kk]` is
+    /// `a[row_off(i) + depth_off(kk)]`. Row-major `A` is `(i * k, kk)`, `Aᵀ`
+    /// read in place is `(i, kk * m)`, and a row gather swaps in an index
+    /// list on either side.
+    ///
+    /// # Safety
+    /// Requires AVX2; `0 < n < LANES`, `b.len() >= k * n`,
+    /// `c_block.len() == mb * n`, and `row_off(i) + depth_off(kk)` lies
+    /// inside `a` for every `i < mb`, `kk < k`.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn narrow_rows(
+        a: &[f32],
+        row_off: impl Fn(usize) -> usize,
+        depth_off: impl Fn(usize) -> usize,
+        mb: usize,
+        k: usize,
+        n: usize,
+        b: &[f32],
+        c_block: &mut [f32],
+    ) {
+        debug_assert!(n > 0 && n < LANES);
+        debug_assert!(b.len() >= k * n);
+        debug_assert_eq!(c_block.len(), mb * n);
+        let mask = lane_mask(n);
+        let ap = a.as_ptr();
+        let bp = b.as_ptr();
+        // Macros rather than closures, so every intrinsic is inlined into
+        // this `avx2`-enabled body.
+        macro_rules! load_b {
+            ($kk:expr) => {
+                _mm256_maskload_ps(bp.add($kk * n), mask)
+            };
+        }
+        macro_rules! bcast {
+            ($row:expr, $off:expr) => {
+                _mm256_set1_ps(*ap.add($row + $off))
+            };
+        }
+        macro_rules! group {
+            ($row:expr, $o:expr, $b:expr) => {{
+                let mut s = _mm256_mul_ps(bcast!($row, $o.0), $b.0);
+                s = _mm256_add_ps(s, _mm256_mul_ps(bcast!($row, $o.1), $b.1));
+                s = _mm256_add_ps(s, _mm256_mul_ps(bcast!($row, $o.2), $b.2));
+                _mm256_add_ps(s, _mm256_mul_ps(bcast!($row, $o.3), $b.3))
+            }};
+        }
+        let mut i = 0;
+        while i + 4 <= mb {
+            let (r0, r1, r2, r3) = (row_off(i), row_off(i + 1), row_off(i + 2), row_off(i + 3));
+            let cp = c_block.as_mut_ptr().add(i * n);
+            let mut acc0 = _mm256_maskload_ps(cp, mask);
+            let mut acc1 = _mm256_maskload_ps(cp.add(n), mask);
+            let mut acc2 = _mm256_maskload_ps(cp.add(2 * n), mask);
+            let mut acc3 = _mm256_maskload_ps(cp.add(3 * n), mask);
+            let mut kk = 0;
+            while kk + KU <= k {
+                let o = (
+                    depth_off(kk),
+                    depth_off(kk + 1),
+                    depth_off(kk + 2),
+                    depth_off(kk + 3),
+                );
+                let bv = (
+                    load_b!(kk),
+                    load_b!(kk + 1),
+                    load_b!(kk + 2),
+                    load_b!(kk + 3),
+                );
+                acc0 = _mm256_add_ps(acc0, group!(r0, o, bv));
+                acc1 = _mm256_add_ps(acc1, group!(r1, o, bv));
+                acc2 = _mm256_add_ps(acc2, group!(r2, o, bv));
+                acc3 = _mm256_add_ps(acc3, group!(r3, o, bv));
+                kk += KU;
+            }
+            while kk < k {
+                let o = depth_off(kk);
+                let b0 = load_b!(kk);
+                acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(bcast!(r0, o), b0));
+                acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(bcast!(r1, o), b0));
+                acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(bcast!(r2, o), b0));
+                acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(bcast!(r3, o), b0));
+                kk += 1;
+            }
+            _mm256_maskstore_ps(cp, mask, acc0);
+            _mm256_maskstore_ps(cp.add(n), mask, acc1);
+            _mm256_maskstore_ps(cp.add(2 * n), mask, acc2);
+            _mm256_maskstore_ps(cp.add(3 * n), mask, acc3);
+            i += 4;
+        }
+        while i < mb {
+            let r0 = row_off(i);
+            let cp = c_block.as_mut_ptr().add(i * n);
+            let mut acc = _mm256_maskload_ps(cp, mask);
+            let mut kk = 0;
+            while kk + KU <= k {
+                let o = (
+                    depth_off(kk),
+                    depth_off(kk + 1),
+                    depth_off(kk + 2),
+                    depth_off(kk + 3),
+                );
+                let bv = (
+                    load_b!(kk),
+                    load_b!(kk + 1),
+                    load_b!(kk + 2),
+                    load_b!(kk + 3),
+                );
+                acc = _mm256_add_ps(acc, group!(r0, o, bv));
+                kk += KU;
+            }
+            while kk < k {
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(bcast!(r0, depth_off(kk)), load_b!(kk)));
+                kk += 1;
+            }
+            _mm256_maskstore_ps(cp, mask, acc);
+            i += 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -982,6 +1248,82 @@ mod tests {
                 bits(&want),
                 "dispatched at ({r}, {m}, {n})"
             );
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn narrow_gemm_is_bit_identical_to_portable_narrow_rows() {
+        // `gemm_scalar` runs the portable `narrow_rows` for n < LANES: the
+        // reference the full-width AVX2 narrow kernel must match. Depths
+        // straddle KU and KC, row counts straddle MC and the 4-row passes,
+        // and the largest products take the parallel path.
+        for n in 1..LANES {
+            for &k in &[1usize, 3, 4, 127, 128, 129, 300] {
+                for &m in &[1usize, 5, 63, 64, 65, 130, 400] {
+                    let a = fill(m * k, 41);
+                    let b = fill(k * n, 42);
+                    let mut want = vec![0.0; m * n];
+                    gemm_scalar(m, k, n, &a, &b, &mut want);
+                    let mut serial = vec![0.0; m * n];
+                    gemm_serial(m, k, n, &a, &b, &mut serial);
+                    let mut dispatched = vec![0.0; m * n];
+                    gemm(m, k, n, &a, &b, &mut dispatched);
+                    assert_eq!(bits(&serial), bits(&want), "gemm_serial ({m}, {k}, {n})");
+                    assert_eq!(bits(&dispatched), bits(&want), "gemm ({m}, {k}, {n})");
+
+                    // gemm_tn: `a` read as the `k x m` operand of `Aᵀ · B`.
+                    let mut packed = vec![0.0; k * m];
+                    transpose_into(k, m, &a, &mut packed);
+                    let mut want = vec![0.0; m * n];
+                    gemm_scalar(m, k, n, &packed, &b, &mut want);
+                    let mut serial = vec![0.0; m * n];
+                    gemm_tn_serial(k, m, n, &a, &b, &mut serial);
+                    let mut dispatched = vec![0.0; m * n];
+                    gemm_tn(k, m, n, &a, &b, &mut dispatched);
+                    assert_eq!(bits(&serial), bits(&want), "gemm_tn_serial ({k}, {m}, {n})");
+                    assert_eq!(bits(&dispatched), bits(&want), "gemm_tn ({k}, {m}, {n})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gather_kernels_are_bit_identical_to_select_then_gemm() {
+        let (src_rows, k) = (310, 37);
+        let a = fill(src_rows * k, 51);
+        for &n in &[1usize, 6, 7, 8, 9, 33] {
+            for &len in &[1usize, 3, 127, 128, 129, 300] {
+                // Unordered, with repeats.
+                let rows: Vec<usize> = (0..len).map(|i| (i * 97 + 13) % src_rows).collect();
+                let mut gathered = Vec::with_capacity(len * k);
+                for &r in &rows {
+                    gathered.extend_from_slice(&a[r * k..(r + 1) * k]);
+                }
+                let b = fill(k * n, 52);
+                let mut want = vec![0.0; len * n];
+                gemm_serial(len, k, n, &gathered, &b, &mut want);
+                let mut got = vec![0.0; len * n];
+                gemm_gather(&rows, k, n, &a, &b, &mut got);
+                assert_eq!(bits(&got), bits(&want), "gemm_gather ({len}, {k}, {n})");
+
+                let bt = fill(len * n, 53);
+                let mut want = vec![0.0; k * n];
+                gemm_tn_serial(len, k, n, &gathered, &bt, &mut want);
+                let mut got = vec![0.0; k * n];
+                gemm_tn_gather(&rows, k, n, &a, &bt, &mut got);
+                assert_eq!(bits(&got), bits(&want), "gemm_tn_gather ({len}, {k}, {n})");
+                // Accumulating KC-row chunks reproduces the whole product.
+                let mut chunked = vec![0.0; k * n];
+                for (c, chunk) in rows.chunks(KC).enumerate() {
+                    let b_chunk = &bt[c * KC * n..][..chunk.len() * n];
+                    gemm_tn_gather(chunk, k, n, &a, b_chunk, &mut chunked);
+                }
+                assert_eq!(bits(&chunked), bits(&want), "chunked ({len}, {k}, {n})");
+            }
         }
     }
 

@@ -307,6 +307,35 @@ impl Matrix {
         out
     }
 
+    /// Breadth-first hop distances from row `source` over the non-zero
+    /// pattern of a square matrix read as a directed graph (`r → c` when
+    /// entry `(r, c)` is non-zero). Unreachable rows get `usize::MAX`.
+    ///
+    /// Row `source` of `selfᴷ · X` reads only rows of `X` within `K` hops,
+    /// which is what [`crate::Tape::propagate_readout`] relies on.
+    pub fn hop_distances(&self, source: usize) -> Vec<usize> {
+        assert_eq!(self.rows, self.cols, "hop_distances: matrix must be square");
+        assert!(source < self.rows, "hop_distances: source out of range");
+        let mut hops = vec![usize::MAX; self.rows];
+        hops[source] = 0;
+        let mut frontier = vec![source];
+        let mut depth = 0;
+        while !frontier.is_empty() {
+            depth += 1;
+            let mut next = Vec::new();
+            for &r in &frontier {
+                for (c, &v) in self.row(r).iter().enumerate() {
+                    if v != 0.0 && hops[c] == usize::MAX {
+                        hops[c] = depth;
+                        next.push(c);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        hops
+    }
+
     /// Matrix transpose (cache-blocked).
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -721,6 +750,20 @@ pub fn softmax_row_in_place(row: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hop_distances_follow_row_to_column_nonzeros() {
+        // 0 -> 1 -> 2 -> 3, plus 3 -> 0; row 4 is unreachable.
+        let adj = Matrix::from_fn(5, 5, |r, c| {
+            if (r < 3 && c == r + 1) || (r == 3 && c == 0) {
+                0.5
+            } else {
+                0.0
+            }
+        });
+        assert_eq!(adj.hop_distances(0), vec![0, 1, 2, 3, usize::MAX]);
+        assert_eq!(adj.hop_distances(2), vec![2, 3, 0, 1, usize::MAX]);
+    }
 
     #[test]
     fn constructs_and_indexes() {

@@ -95,6 +95,14 @@ enum Op {
     FrobeniusMse(usize, Arc<Matrix>),
     BinarizeSte(usize),
     CosineMatchToConst(usize, Arc<Matrix>),
+    /// Row `center` of `adjᴷ · [base; x]` ([`Tape::propagate_readout`]).
+    PropagateReadout {
+        adj: Arc<Matrix>,
+        hops: Arc<[usize]>,
+        x: usize,
+        center: usize,
+        steps: usize,
+    },
     SolveSpd {
         a: usize,
         b: usize,
@@ -285,7 +293,8 @@ impl Tape {
             | Op::SumAll(x)
             | Op::FrobeniusMse(x, _)
             | Op::BinarizeSte(x)
-            | Op::CosineMatchToConst(x, _) => n(*x),
+            | Op::CosineMatchToConst(x, _)
+            | Op::PropagateReadout { x, .. } => n(*x),
         }
     }
 
@@ -796,6 +805,74 @@ impl Tape {
         self.push_owned(value, Op::CosineMatchToConst(x.0, target))
     }
 
+    /// Row `center` of `adjᴷ · [base; x]` (`1 x d`): the centre readout of a
+    /// `K = steps` step dense propagation over a small graph whose first
+    /// rows carry the constant `base` features and whose last rows carry
+    /// the variable `x` (e.g. a node's computation graph with an attached
+    /// trigger block).
+    ///
+    /// Equal bit for bit to `concat_rows` + `K` [`Tape::const_matmul`] +
+    /// [`Tape::row_select`] of row `center`, with only the arithmetic whose
+    /// result is read. `hops` must be `adj.hop_distances(center)`. Hop `k`
+    /// computes only the rows within `K − k` hops of the centre, each over
+    /// the full inner dimension, with the other rows zero-filled.
+    /// Dropping zero terms instead would regroup the [`kernel::KU`]-term
+    /// sums. The zero-filled rows meet only exact zeros of `adj`, and such
+    /// a product is a signed zero. Adding a signed zero changes no sum: the
+    /// accumulator starts at `+0` and can never become `-0`. Backward runs
+    /// the same rows through `adjᵀ` and ends on the rows of `x` alone.
+    ///
+    /// # Panics
+    /// Panics when the shapes disagree or `center` is out of range.
+    pub fn propagate_readout(
+        &mut self,
+        adj: Arc<Matrix>,
+        base: &Matrix,
+        x: Var,
+        hops: Arc<[usize]>,
+        center: usize,
+        steps: usize,
+    ) -> Var {
+        let n = adj.rows();
+        let (x_rows, d) = self.shape(x);
+        assert_eq!(adj.cols(), n, "propagate_readout: adjacency must be square");
+        assert_eq!(
+            (base.rows() + x_rows, base.cols()),
+            (n, d),
+            "propagate_readout: [base; x] must be {n} x {d}"
+        );
+        assert!(
+            center < n && hops.len() == n,
+            "propagate_readout: centre or hop table out of range"
+        );
+        debug_assert_eq!(&hops[..], &adj.hop_distances(center)[..]);
+        let mut z = self.pool.raw(n, d);
+        z.data_mut()[..base.len()].copy_from_slice(base.data());
+        z.data_mut()[base.len()..].copy_from_slice(self.val(x.0).data());
+        let mut out = self.pool.zeros(1, d);
+        if steps == 0 {
+            out.data_mut().copy_from_slice(z.row(center));
+        } else {
+            for k in 1..steps {
+                let mut next = self.pool.zeros(n, d);
+                for r in (0..n).filter(|&r| hops[r] <= steps - k) {
+                    kernel::gemm(1, n, d, adj.row(r), z.data(), next.row_mut(r));
+                }
+                self.pool.recycle(std::mem::replace(&mut z, next));
+            }
+            kernel::gemm(1, n, d, adj.row(center), z.data(), out.data_mut());
+        }
+        self.pool.recycle(z);
+        let op = Op::PropagateReadout {
+            adj,
+            hops,
+            x: x.0,
+            center,
+            steps,
+        };
+        self.push_owned(out, op)
+    }
+
     /// Differentiable solve of the SPD system `A X = B` (via Cholesky).
     /// Both `A` and `B` may carry gradients; used by the kernel ridge
     /// regression objective of GC-SNTK.
@@ -1151,6 +1228,49 @@ impl Tape {
                             dx.add_at(i, j, scale * g);
                         }
                     }
+                    accumulate(&mut grads, pool, *x, dx);
+                }
+                Op::PropagateReadout {
+                    adj,
+                    hops,
+                    x,
+                    center,
+                    steps,
+                } => {
+                    // dz_K is `grad` in row `center` (the `0 + g` of the
+                    // row-select rule); dz_{k-1} = adjᵀ dz_k on the rows
+                    // within K - k + 1 hops, and on the rows of `x` for the
+                    // last step. Row i of adjᵀ dz is column i of `adj` times
+                    // dz, the same per-row sequence as the full `gemm_tn`.
+                    let n = adj.rows();
+                    let d = grad.cols();
+                    let first_x = n - val(*x).rows();
+                    let mut dz = pool.zeros(n, d);
+                    for (o, &g) in dz.row_mut(*center).iter_mut().zip(grad.data()) {
+                        *o += g;
+                    }
+                    let mut column = pool.raw(1, n);
+                    for k in (1..=*steps).rev() {
+                        let mut next = pool.zeros(n, d);
+                        let reach = steps - k + 1;
+                        for i in (0..n).filter(|&i| {
+                            if k == 1 {
+                                i >= first_x
+                            } else {
+                                hops[i] <= reach
+                            }
+                        }) {
+                            for (c, r) in column.data_mut().iter_mut().zip(0..n) {
+                                *c = adj.get(r, i);
+                            }
+                            kernel::gemm(1, n, d, column.data(), dz.data(), next.row_mut(i));
+                        }
+                        pool.recycle(std::mem::replace(&mut dz, next));
+                    }
+                    pool.recycle(column);
+                    let mut dx = pool.raw(n - first_x, d);
+                    dx.data_mut().copy_from_slice(&dz.data()[first_x * d..]);
+                    pool.recycle(dz);
                     accumulate(&mut grads, pool, *x, dx);
                 }
                 Op::SolveSpd { a, b } => {
@@ -1615,6 +1735,78 @@ mod tests {
         // Resetting releases the reference instead of recycling it.
         tape.reset();
         assert_eq!(Arc::strong_count(&features), 1);
+    }
+
+    /// `concat_rows` + `steps` x `const_matmul` + `row_select`, the chain
+    /// [`Tape::propagate_readout`] replaces; returns the readout's value and
+    /// the gradient of `x` for `loss = sum(readout ⊙ mask)`.
+    fn readout_chain(
+        adj: &Arc<Matrix>,
+        base: &Matrix,
+        x: &Matrix,
+        mask: &Matrix,
+        center: usize,
+        steps: usize,
+        fused: bool,
+    ) -> (Matrix, Matrix) {
+        let mut tape = Tape::new();
+        let xv = tape.leaf(x.clone());
+        let readout = if fused {
+            let hops: Arc<[usize]> = adj.hop_distances(center).into();
+            tape.propagate_readout(adj.clone(), base, xv, hops, center, steps)
+        } else {
+            let b = tape.const_leaf(Arc::new(base.clone()));
+            let mut z = tape.concat_rows(b, xv);
+            for _ in 0..steps {
+                z = tape.const_matmul(adj.clone(), z);
+            }
+            tape.row_select(z, &[center])
+        };
+        let masked = tape.hadamard_const(readout, Arc::new(mask.clone()));
+        let loss = tape.sum_all(masked);
+        let value = tape.value_ref(readout).clone();
+        let grads = tape.backward(loss);
+        (value, grads.get(xv).expect("x reaches the loss").clone())
+    }
+
+    #[test]
+    fn propagate_readout_is_bit_identical_to_concat_matmul_select() {
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = rng_from_seed(31);
+        for &(n, x_rows, d) in &[(9usize, 1usize, 5usize), (17, 3, 12), (26, 4, 33)] {
+            // A sparse, asymmetric, signed adjacency (a ring keeps every row
+            // reachable within a few hops) and features with exact zeros of
+            // both signs, so signed-zero products occur in every sum.
+            let dense = randn(n, n, 0.0, 1.0, &mut rng);
+            let adj = Arc::new(Matrix::from_fn(n, n, |r, c| {
+                let v = dense.get(r, c);
+                if c == (r + 1) % n || (r * 7 + c * 3) % 5 == 0 {
+                    v
+                } else {
+                    0.0
+                }
+            }));
+            let sparsify = |m: Matrix| {
+                Matrix::from_fn(m.rows(), m.cols(), |r, c| match (r + 2 * c) % 4 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => m.get(r, c),
+                })
+            };
+            let base = sparsify(randn(n - x_rows, d, 0.0, 1.0, &mut rng));
+            let x = sparsify(randn(x_rows, d, 0.0, 1.0, &mut rng));
+            let mask = randn(1, d, 0.0, 1.0, &mut rng);
+            for center in [0, n / 2] {
+                for steps in 0..=3 {
+                    let (want_v, want_g) =
+                        readout_chain(&adj, &base, &x, &mask, center, steps, false);
+                    let (got_v, got_g) = readout_chain(&adj, &base, &x, &mask, center, steps, true);
+                    let case = format!("n = {n}, centre {center}, K = {steps}");
+                    assert_eq!(bits(&got_v), bits(&want_v), "value, {case}");
+                    assert_eq!(bits(&got_g), bits(&want_g), "gradient, {case}");
+                }
+            }
+        }
     }
 
     #[test]

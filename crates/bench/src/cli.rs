@@ -91,9 +91,6 @@ EXPERIMENT OPTIONS (run; repeatable in grid):
 
 LINT OPTIONS (lint):
     --format human|json   Output format (default: human)
-    --write-baseline      Regenerate lint-baseline.json from the current
-                          unchecked-panic findings (the ratchet may only
-                          shrink; review the diff before committing)
     --root <dir>          Workspace root (default: the nearest ancestor
                           directory containing Cargo.toml and crates/)
 
@@ -104,8 +101,7 @@ STORE OPTIONS (store; --store-dir selects the root):
 EXIT CODES:
     0  success                  3  cell failure(s) (panic/timeout/error)
     1  error                    4  every executed cell was OOM
-    2  usage error               5  lint violation(s)
-                                 6  stale lint baseline entries
+    2  usage error              5  lint violation(s)
 
 FAULT INJECTION (testing and CI):
     BGC_FAULTS=\"point[@ctx][#n]=panic|io|delay:<ms>[;...]\" arms
@@ -172,10 +168,6 @@ pub const EXIT_CELL_FAILURE: i32 = 3;
 pub const EXIT_OOM_ONLY: i32 = 4;
 /// Exit code: `bgc lint` found invariant violations.
 pub const EXIT_LINT: i32 = 5;
-/// Exit code: `bgc lint` found no violations but the committed baseline has
-/// stale entries (recorded findings that no longer exist); shrink it with
-/// `bgc lint --write-baseline`.
-pub const EXIT_STALE_BASELINE: i32 = 6;
 
 /// What a successful subcommand observed, used to pick the exit code.
 #[derive(Clone, Copy, Debug, Default)]
@@ -188,15 +180,12 @@ pub struct CliOutcome {
     pub oom: usize,
     /// Lint violations reported by `bgc lint`.
     pub lint_violations: usize,
-    /// Stale lint baseline entries reported by `bgc lint`.
-    pub lint_stale: usize,
 }
 
 /// Maps a finished invocation to its exit code (see `EXIT_*`).
 pub fn exit_code(result: &Result<CliOutcome, CliError>) -> i32 {
     match result {
         Ok(outcome) if outcome.lint_violations > 0 => EXIT_LINT,
-        Ok(outcome) if outcome.lint_stale > 0 => EXIT_STALE_BASELINE,
         Ok(outcome) if outcome.cell_failures > 0 => EXIT_CELL_FAILURE,
         Ok(outcome) if outcome.completed > 0 && outcome.completed == outcome.oom => EXIT_OOM_ONLY,
         Ok(_) => EXIT_OK,
@@ -880,13 +869,11 @@ pub fn list_lines(what: &str) -> Result<Vec<String>, CliError> {
 // lint
 // ---------------------------------------------------------------------------
 
-/// `bgc lint [--format human|json] [--write-baseline] [--root <dir>]` —
-/// runs the workspace invariant pass (see `docs/lint.md`).  Exit codes:
-/// [`EXIT_LINT`] on violations, [`EXIT_STALE_BASELINE`] on a stale
-/// baseline, [`EXIT_OK`] when clean.
+/// `bgc lint [--format human|json] [--root <dir>]` — runs the workspace
+/// invariant pass (see `docs/lint.md`).  Exit codes: [`EXIT_LINT`] on
+/// violations, [`EXIT_OK`] when clean.
 fn cmd_lint(args: &[&str]) -> Result<CliOutcome, CliError> {
     let mut format = "human";
-    let mut write_baseline = false;
     let mut root_arg: Option<String> = None;
     let mut iter = args.iter();
     while let Some(&arg) = iter.next() {
@@ -903,7 +890,6 @@ fn cmd_lint(args: &[&str]) -> Result<CliOutcome, CliError> {
                 }
                 format = value;
             }
-            "--write-baseline" => write_baseline = true,
             "--root" => {
                 let value = iter.next().ok_or_else(|| usage("--root expects a path"))?;
                 root_arg = Some(value.to_string());
@@ -919,50 +905,16 @@ fn cmd_lint(args: &[&str]) -> Result<CliOutcome, CliError> {
     let report = bgc_lint::lint_workspace(&root)
         .map_err(|err| CliError::Bgc(BgcError::invalid(format!("bgc lint: {}", err))))?;
 
-    if write_baseline {
-        let baseline = bgc_lint::Baseline::from_counts(&report.counts);
-        let path = root.join(bgc_lint::BASELINE_FILE);
-        std::fs::write(&path, baseline.to_json()).map_err(|err| {
-            CliError::Bgc(BgcError::invalid(format!(
-                "cannot write {}: {}",
-                path.display(),
-                err
-            )))
-        })?;
-        println!("wrote {}", path.display());
-        // The freshly written baseline admits exactly the current findings,
-        // so re-evaluate against it: baselineable findings and staleness
-        // are gone by construction, everything else still fails the run.
-        let report = bgc_lint::lint_files(
-            &root,
-            &bgc_lint::workspace_files(&root).map_err(usage)?,
-            &baseline,
-            bgc_lint::FAULT_POINTS,
-        )
-        .map_err(|err| CliError::Bgc(BgcError::invalid(format!("bgc lint: {}", err))))?;
-        print_lint_report(&report, format);
-        return Ok(lint_outcome(&report));
-    }
-
-    print_lint_report(&report, format);
-    Ok(lint_outcome(&report))
-}
-
-fn print_lint_report(report: &bgc_lint::LintReport, format: &str) {
     let text = if format == "json" {
-        bgc_lint::render_json(report)
+        bgc_lint::render_json(&report)
     } else {
-        bgc_lint::render_human(report)
+        bgc_lint::render_human(&report)
     };
     print!("{}", text);
-}
-
-fn lint_outcome(report: &bgc_lint::LintReport) -> CliOutcome {
-    CliOutcome {
+    Ok(CliOutcome {
         lint_violations: report.violations.len(),
-        lint_stale: report.stale.len(),
         ..CliOutcome::default()
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1140,18 +1092,9 @@ mod tests {
         assert_eq!(
             exit_code(&Ok(CliOutcome {
                 lint_violations: 2,
-                lint_stale: 1,
                 ..CliOutcome::default()
             })),
-            EXIT_LINT,
-            "violations dominate staleness"
-        );
-        assert_eq!(
-            exit_code(&Ok(CliOutcome {
-                lint_stale: 1,
-                ..CliOutcome::default()
-            })),
-            EXIT_STALE_BASELINE
+            EXIT_LINT
         );
         assert_eq!(
             exit_code(&Err(CliError::Usage("bad flag".into()))),
@@ -1267,7 +1210,6 @@ mod tests {
         // resolved by ascending to the workspace root.
         let outcome = run(&["lint".to_string()]).expect("bgc lint runs");
         assert_eq!(outcome.lint_violations, 0, "bgc lint must stay clean");
-        assert_eq!(outcome.lint_stale, 0, "lint-baseline.json must stay fresh");
         assert_eq!(exit_code(&Ok(outcome)), EXIT_OK);
     }
 }

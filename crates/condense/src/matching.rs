@@ -107,7 +107,7 @@ pub struct GradientMatchingState {
     pub syn_labels: Vec<usize>,
     /// Surrogate SGC weight `W` (`d x C`).
     pub surrogate_weight: Matrix,
-    structure: Option<StructureGenerator>,
+    structure: Option<LearnedStructure>,
     feature_opt: Adam,
     structure_opt: Adam,
     num_classes: usize,
@@ -117,18 +117,27 @@ pub struct GradientMatchingState {
     tape: Tape,
     /// Synthetic node indices per class (labels are fixed at construction).
     syn_class_indices: Vec<Vec<usize>>,
-    /// Per-class one-hot targets, recorded as shared constant leaves.
+    /// Per-class one-hot targets, recorded as shared constant leaves;
+    /// `None` for classes without a synthetic node.
     class_onehots: Vec<Option<Arc<Matrix>>>,
-    /// `I_{N'}` for the structure variant's self-loops (shared constant).
-    identity: Option<Arc<Matrix>>,
     /// One-hot `Y'` for surrogate training.
     syn_onehot: Matrix,
-    /// Zero gradient fallbacks (preallocated; see [`bgc_tensor::Gradients::get_or`]).
+    /// Zero gradient fallback of `X'` (preallocated; see
+    /// [`bgc_tensor::Gradients::get_or`]).
     x_zero_grad: Matrix,
-    structure_zero_grads: Vec<Matrix>,
     scratch: SurrogateScratch,
     /// Real training nodes per class, for the last graph stepped on.
     real_classes: Option<RealClasses>,
+}
+
+/// The learned synthetic structure of GCond, with the constants its
+/// matching step records.
+struct LearnedStructure {
+    generator: StructureGenerator,
+    /// `I_{N'}` for the self-loops (shared constant).
+    identity: Arc<Matrix>,
+    /// Zero gradient fallbacks of the generator's parameters.
+    zero_grads: Vec<Matrix>,
 }
 
 /// The real graph's training nodes grouped by class, in split order. Kept
@@ -208,11 +217,9 @@ impl GradientMatchingState {
                 .row_mut(i)
                 .copy_from_slice(graph.features.row(source));
         }
-        let structure = if variant.learns_structure() {
-            Some(StructureGenerator::new(d, config.structure_rank, &mut rng))
-        } else {
-            None
-        };
+        let generator = variant
+            .learns_structure()
+            .then(|| StructureGenerator::new(d, config.structure_rank, &mut rng));
         let surrogate_weight = xavier_uniform(d, graph.num_classes, &mut rng);
         let feature_opt = Adam::new(config.feature_lr, 0.0);
         let structure_opt = Adam::new(config.structure_lr, 0.0);
@@ -242,17 +249,15 @@ impl GradientMatchingState {
                 }
             })
             .collect();
-        let identity = structure
-            .is_some()
-            .then(|| Arc::new(Matrix::identity(n_syn)));
-        let structure_zero_grads = match &structure {
-            Some(gen) => gen
+        let structure = generator.map(|generator| LearnedStructure {
+            identity: Arc::new(Matrix::identity(n_syn)),
+            zero_grads: generator
                 .parameters()
                 .iter()
                 .map(|p| Matrix::zeros(p.rows(), p.cols()))
                 .collect(),
-            None => Vec::new(),
-        };
+            generator,
+        });
         Self {
             variant,
             config,
@@ -277,8 +282,6 @@ impl GradientMatchingState {
             tape: Tape::new(),
             syn_class_indices,
             class_onehots,
-            identity,
-            structure_zero_grads,
             real_classes: None,
         }
     }
@@ -325,7 +328,7 @@ impl GradientMatchingState {
     pub fn synthetic_propagation_matrix(&self) -> Matrix {
         let n = self.num_synthetic();
         let adj = match &self.structure {
-            Some(gen) => gen.materialize(&self.syn_features, 0.0),
+            Some(structure) => structure.generator.materialize(&self.syn_features, 0.0),
             None => Matrix::zeros(n, n),
         };
         let mut a = adj;
@@ -451,13 +454,9 @@ impl GradientMatchingState {
         let x_var = self.tape.leaf_copied(&self.syn_features);
         // Synthetic representation Z' (differentiable w.r.t. X' and structure).
         let (z_syn, structure_params) = match &self.structure {
-            Some(gen) => {
-                let (adj, params) = gen.forward(&mut self.tape, x_var);
-                let identity = self
-                    .identity
-                    .clone()
-                    .expect("structure variants precompute the identity");
-                let identity = self.tape.const_leaf(identity);
+            Some(structure) => {
+                let (adj, params) = structure.generator.forward(&mut self.tape, x_var);
+                let identity = self.tape.const_leaf(structure.identity.clone());
                 let adj_loops = self.tape.add(adj, identity);
                 let prop = self.tape.row_normalize(adj_loops);
                 let mut z = x_var;
@@ -470,21 +469,19 @@ impl GradientMatchingState {
         };
         let w_const = self.tape.leaf_detached(&self.surrogate_weight);
 
-        // Per-class matching terms.
+        // Per-class matching terms. A real gradient exists only for classes
+        // with synthetic nodes, which are exactly the classes with a one-hot.
         let mut total: Option<bgc_tensor::Var> = None;
-        for (class, real_grad) in real_grads.into_iter().enumerate() {
-            let real_grad = match real_grad {
-                Some(g) => g,
-                None => continue,
+        let targets = real_grads.into_iter().zip(&self.class_onehots);
+        for (class, target) in targets.enumerate() {
+            let (Some(real_grad), Some(onehot)) = target else {
+                continue;
             };
             let syn_idx = &self.syn_class_indices[class];
             let zc = self.tape.row_select(z_syn, syn_idx);
             let logits = self.tape.matmul(zc, w_const);
             let probs = self.tape.softmax_rows(logits);
-            let onehot = self.class_onehots[class]
-                .clone()
-                .expect("non-empty classes precompute their one-hot target");
-            let onehot = self.tape.const_leaf(onehot);
+            let onehot = self.tape.const_leaf(onehot.clone());
             let diff = self.tape.sub(probs, onehot);
             let zc_t = self.tape.transpose(zc);
             let grad_syn = self.tape.matmul(zc_t, diff);
@@ -507,13 +504,13 @@ impl GradientMatchingState {
         self.feature_opt
             .step(&mut [&mut self.syn_features], &[x_grad]);
         // Update the structure generator (if any).
-        if let Some(gen) = &mut self.structure {
+        if let Some(structure) = &mut self.structure {
             let grad_refs: Vec<&Matrix> = structure_params
                 .iter()
-                .zip(self.structure_zero_grads.iter())
+                .zip(&structure.zero_grads)
                 .map(|(&v, zero)| grads.get_or(v, zero))
                 .collect();
-            let mut params = gen.parameters_mut();
+            let mut params = structure.generator.parameters_mut();
             self.structure_opt.step(&mut params, &grad_refs);
         }
         self.tape.absorb(grads);
@@ -524,8 +521,10 @@ impl GradientMatchingState {
     /// Materializes the current condensed graph `S = {A', X', Y'}`.
     pub fn to_condensed(&self) -> CondensedGraph {
         match &self.structure {
-            Some(gen) => {
-                let adj = gen.materialize(&self.syn_features, self.config.structure_threshold);
+            Some(structure) => {
+                let adj = structure
+                    .generator
+                    .materialize(&self.syn_features, self.config.structure_threshold);
                 CondensedGraph::new(
                     self.syn_features.clone(),
                     adj,

@@ -241,6 +241,10 @@ fn canonical_condenser_name(name: &str) -> Option<String> {
 /// The inductive subgraph (induced adjacency + GCN re-normalization) is
 /// deterministic in the source graph, and every attack/condensation stage of
 /// an experiment cell derives it again — so it is memoized process-wide.
+/// Serving every stage the same feature and adjacency buffers is also what
+/// lets the poisoned-node selector's memo (keyed on buffer identity) hit
+/// for inductive datasets: without this memo, every inductive attack stage
+/// trains the selector GCN again.
 /// The key is [`Graph::memo_key`] — buffer identities plus a fingerprint of
 /// the editable metadata — and the memo holds clones of the graph's `Arc`s,
 /// so an address can never be recycled for a different graph while the

@@ -159,7 +159,9 @@ pub fn condense_sntk(
         let ridge_var = tape.const_leaf(ridge.clone());
         let k_reg = tape.add(k_ss, ridge_var);
         let y_syn_var = tape.const_leaf(y_syn.clone());
-        let alpha = tape.solve_spd(k_reg, y_syn_var);
+        let alpha = tape
+            .solve_spd(k_reg, y_syn_var)
+            .map_err(|_| CondenseError::SingularKernel)?;
         let k_ts = kernel_var_const(&mut tape, x, z_train.clone());
         // K_tS is (n_syn-major) ... kernel_var_const(a=x, b=z_train) gives
         // shape (n_syn x n_train); the prediction needs (n_train x n_syn).

@@ -25,7 +25,7 @@ use bgc_tensor::{Matrix, Tape};
 use crate::attach::{attach_to_computation_graph, build_poisoned_graph, AttachedGraph};
 use crate::config::BgcConfig;
 use crate::error::BgcError;
-use crate::selector::{select_poisoned_nodes, SelectionResult};
+use crate::selector::select_poisoned_nodes;
 use crate::trigger::TriggerGenerator;
 
 /// Result of a BGC attack run.
@@ -43,8 +43,6 @@ pub struct BgcOutcome {
     pub matching_losses: Vec<f32>,
     /// Trigger-generator loss per generator update.
     pub trigger_losses: Vec<f32>,
-    /// Details of the poisoned-node selection.
-    pub selection: SelectionResult,
 }
 
 /// The BGC attack (the malicious condensation service provider).
@@ -211,11 +209,10 @@ impl BgcAttack {
         Ok(BgcOutcome {
             condensed,
             generator,
-            poisoned_nodes: selection.poisoned_nodes.clone(),
+            poisoned_nodes: selection.poisoned_nodes,
             working_graph: work,
             matching_losses,
             trigger_losses,
-            selection,
         })
     }
 }

@@ -25,7 +25,7 @@ use bgc_tensor::{Matrix, Tape};
 use crate::attach::{attach_to_computation_graph, build_poisoned_graph, AttachedGraph};
 use crate::config::BgcConfig;
 use crate::error::BgcError;
-use crate::selector::{select_poisoned_nodes, SelectionResult};
+use crate::selector::select_poisoned_nodes;
 use crate::trigger::UniversalTrigger;
 
 /// Result of the adapted DOORPING attack.
@@ -38,8 +38,6 @@ pub struct DoorpingOutcome {
     pub poisoned_nodes: Vec<usize>,
     /// Graph the condensation operated on.
     pub working_graph: Graph,
-    /// Selection details.
-    pub selection: SelectionResult,
 }
 
 /// The adapted DOORPING baseline.
@@ -217,9 +215,8 @@ impl DoorpingAttack {
         Ok(DoorpingOutcome {
             condensed,
             trigger: UniversalTrigger::new(trigger),
-            poisoned_nodes: selection.poisoned_nodes.clone(),
+            poisoned_nodes: selection.poisoned_nodes,
             working_graph: work,
-            selection,
         })
     }
 }

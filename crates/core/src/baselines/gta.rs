@@ -18,7 +18,7 @@ use crate::attach::build_poisoned_graph;
 use crate::attack::generator_update_step;
 use crate::config::BgcConfig;
 use crate::error::BgcError;
-use crate::selector::{select_poisoned_nodes, SelectionResult};
+use crate::selector::select_poisoned_nodes;
 use crate::trigger::TriggerGenerator;
 
 /// Result of the adapted GTA attack.
@@ -31,8 +31,6 @@ pub struct GtaOutcome {
     pub poisoned_nodes: Vec<usize>,
     /// Graph the condensation operated on.
     pub working_graph: Graph,
-    /// Selection details.
-    pub selection: SelectionResult,
 }
 
 /// The adapted GTA baseline.
@@ -136,9 +134,8 @@ impl GtaAttack {
         Ok(GtaOutcome {
             condensed,
             generator,
-            poisoned_nodes: selection.poisoned_nodes.clone(),
+            poisoned_nodes: selection.poisoned_nodes,
             working_graph: work,
-            selection,
         })
     }
 }

@@ -1,8 +1,10 @@
 //! Integration tests of fault-tolerant grid execution through the public
 //! `bgc_eval` API: injected panics stay isolated to their cell under
 //! `keep_going`, bounded retries heal transient faults bit-identically,
-//! cell deadlines cancel cooperatively inside the training stack, and
-//! corrupt cell artifacts are quarantined and recomputed to the same bytes.
+//! cell deadlines cancel cooperatively inside the training stack, corrupt
+//! cell artifacts are quarantined and recomputed to the same bytes, and a
+//! fault at each registered point fails only its cell or store operation
+//! and heals on a clean rerun.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -214,4 +216,175 @@ fn injected_persist_faults_keep_results_usable() {
     assert_eq!(artifacts(&root).len(), 2);
 
     let _ = fs::remove_dir_all(&root);
+}
+
+/// The store's live artifacts as `(file name, bytes)`, sorted by name.
+fn artifact_bytes(root: &Path) -> Vec<(String, Vec<u8>)> {
+    artifacts(root)
+        .into_iter()
+        .map(|path| {
+            let name = path.file_name().expect("file name");
+            let bytes = fs::read(&path).expect("artifact readable");
+            (name.to_string_lossy().into_owned(), bytes)
+        })
+        .collect()
+}
+
+/// Whether `bytes` is the stored cell result of a `dataset` cell.
+fn is_cell_of(bytes: &[u8], dataset: DatasetKind) -> bool {
+    parse_artifact_canon(bytes).is_ok_and(|canon| {
+        canon.starts_with("k1|cell|") && canon.contains(&format!("|{}|", dataset.name()))
+    })
+}
+
+fn assert_same_results(a: &Runner, b: &Runner, keys: &[bgc_eval::CellKey]) {
+    for key in keys {
+        let (a, b) = (
+            a.result(key).expect("cell result"),
+            b.result(key).expect("cell result"),
+        );
+        assert_eq!(a.c_cta.to_bits(), b.c_cta.to_bits(), "{}", key.canon());
+        assert_eq!(a.cta.to_bits(), b.cta.to_bits(), "{}", key.canon());
+        assert_eq!(a.c_asr.to_bits(), b.c_asr.to_bits(), "{}", key.canon());
+        assert_eq!(a.asr.to_bits(), b.asr.to_bits(), "{}", key.canon());
+        assert_eq!(a.asr_nodes, b.asr_nodes, "{}", key.canon());
+    }
+}
+
+/// A grid run with one fault armed, and what a clean rerun made of it.
+struct FaultedRun {
+    /// The faulted run's report.
+    report: GridReport,
+    /// The runner of the faulted run (its results and store counters).
+    runner: Runner,
+    /// The runner of a never-faulted run.
+    reference_runner: Runner,
+    /// The cora + citeseer cells.
+    keys: Vec<bgc_eval::CellKey>,
+    /// The store's artifacts right after the faulted run.
+    faulted: Vec<(String, Vec<u8>)>,
+    /// The artifacts of a never-faulted run.
+    reference: Vec<(String, Vec<u8>)>,
+}
+
+/// Runs the cora + citeseer grid with `plan` armed (`keep_going`) over an
+/// empty store, then reruns it fault-free over the same store, and checks
+/// that the rerun heals: every cell succeeds with the never-faulted
+/// results and the healed store matches a never-faulted one byte for byte.
+fn fault_then_heal(tag: &str, plan: FaultPlan) -> FaultedRun {
+    let reference_root = temp_store(&format!("{tag}-reference"));
+    let reference_runner = stored_runner(&reference_root);
+    let keys = grid_keys(&reference_runner);
+    assert!(reference_runner.run_cells(&keys).is_ok());
+    let reference = artifact_bytes(&reference_root);
+
+    let root = temp_store(tag);
+    let runner = stored_runner(&root).keep_going(true).with_fault_plan(plan);
+    let report = runner.run_cells(&keys);
+    let faulted = artifact_bytes(&root);
+
+    let healed = stored_runner(&root);
+    let rerun = healed.run_cells(&keys);
+    assert!(rerun.is_ok(), "a clean rerun heals: {}", rerun.summary());
+    assert_same_results(&healed, &reference_runner, &keys);
+    let healed_artifacts = artifact_bytes(&root);
+    let names = |artifacts: &[(String, Vec<u8>)]| -> Vec<String> {
+        artifacts.iter().map(|(name, _)| name.clone()).collect()
+    };
+    assert_eq!(names(&healed_artifacts), names(&reference));
+    for ((name, healed), (_, reference)) in healed_artifacts.iter().zip(&reference) {
+        assert!(
+            healed == reference,
+            "artifact {name} healed byte-identically"
+        );
+    }
+
+    let _ = fs::remove_dir_all(&reference_root);
+    let _ = fs::remove_dir_all(&root);
+    FaultedRun {
+        report,
+        runner,
+        reference_runner,
+        keys,
+        faulted,
+        reference,
+    }
+}
+
+/// Asserts that the faulted run failed only the citeseer cell, with an
+/// injected panic at `point`, and stored everything of the cora cell.
+fn assert_only_citeseer_panicked(run: &FaultedRun, point: &str) {
+    assert!(!run.report.is_ok());
+    assert!(outcome_for(&run.report, DatasetKind::Cora)
+        .status
+        .is_success());
+    let citeseer = outcome_for(&run.report, DatasetKind::Citeseer);
+    assert!(
+        matches!(&citeseer.status, CellStatus::Panicked { message } if message.contains(point)),
+        "expected an injected {point} panic, got {:?}",
+        citeseer.status
+    );
+    assert!(run
+        .faulted
+        .iter()
+        .any(|(_, bytes)| is_cell_of(bytes, DatasetKind::Cora)));
+    assert!(!run
+        .faulted
+        .iter()
+        .any(|(_, bytes)| is_cell_of(bytes, DatasetKind::Citeseer)));
+}
+
+/// Asserts that a store fault cost exactly one operation: every cell
+/// succeeded with the never-faulted results, one request degraded to local
+/// compute, and only the citeseer cell's artifact (whose request degraded)
+/// is missing from the store.
+fn assert_only_one_store_operation_failed(run: &FaultedRun) {
+    assert!(run.report.is_ok(), "{}", run.report.summary());
+    let store = run.runner.store().expect("store attached");
+    assert_eq!(store.counters().degraded, 1);
+    let missing: Vec<&(String, Vec<u8>)> = run
+        .reference
+        .iter()
+        .filter(|artifact| !run.faulted.contains(artifact))
+        .collect();
+    assert_eq!(missing.len(), 1, "one artifact was not stored");
+    assert!(is_cell_of(&missing[0].1, DatasetKind::Citeseer));
+    assert_eq!(run.faulted.len() + 1, run.reference.len());
+    assert_same_results(&run.runner, &run.reference_runner, &run.keys);
+}
+
+#[test]
+fn condense_outer_panic_fails_only_its_cell_and_heals() {
+    let plan = FaultPlan::new()
+        .with(FaultSpec::new("condense.outer", FaultAction::Panic).in_context("citeseer"));
+    let run = fault_then_heal("condense-outer", plan);
+    assert_only_citeseer_panicked(&run, "condense.outer");
+}
+
+#[test]
+fn stage_attack_panic_fails_only_its_cell_and_heals() {
+    let plan = FaultPlan::new()
+        .with(FaultSpec::new("stage.attack", FaultAction::Panic).in_context("citeseer"));
+    let run = fault_then_heal("stage-attack", plan);
+    assert_only_citeseer_panicked(&run, "stage.attack");
+}
+
+#[test]
+fn store_read_error_degrades_one_request_and_heals() {
+    // The citeseer cell's first store read is its own artifact lookup: it
+    // fails, so the cell is computed locally and not stored.
+    let plan = FaultPlan::new()
+        .with(FaultSpec::new("store.read", FaultAction::IoError).in_context("citeseer"));
+    let run = fault_then_heal("store-read", plan);
+    assert_only_one_store_operation_failed(&run);
+}
+
+#[test]
+fn store_lock_error_degrades_one_request_and_heals() {
+    // The citeseer cell misses the store, then fails to take its
+    // single-flight lock: it is computed locally and not stored.
+    let plan = FaultPlan::new()
+        .with(FaultSpec::new("store.lock", FaultAction::IoError).in_context("citeseer"));
+    let run = fault_then_heal("store-lock", plan);
+    assert_only_one_store_operation_failed(&run);
 }

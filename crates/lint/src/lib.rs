@@ -7,39 +7,34 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `poison-unsafe-lock` | lock poisoning recovers via `bgc_runtime::relock`, never cascades panics |
-//! | `unchecked-panic` | library code returns typed `BgcError`s (ratcheted by `lint-baseline.json`) |
+//! | `unchecked-panic` | library code returns typed `BgcError`s instead of panicking |
 //! | `nondet-iteration` | canonicalization/persist/report paths never iterate hash maps |
 //! | `wall-clock-in-compute` | compute crates are clock-free; timing lives in bench/runtime |
 //! | `unregistered-fault-point` | every `fault::fire` literal is in `bgc_runtime::FAULT_POINTS` |
+//! | `malformed-waiver` | every waiver names a known rule and gives a reason |
+//! | `unused-waiver` | every waiver suppresses a finding |
 //!
-//! Findings can be waived inline (`// bgc-lint: allow(rule) — reason`) or,
-//! for `unchecked-panic` only, admitted by the committed baseline, which
-//! may only ever shrink (see [`baseline`]).  The pass scans
+//! A finding is either fixed or waived inline at its site
+//! (`// bgc-lint: allow(rule) — reason`).  The pass scans
 //! `crates/*/src/**/*.rs` — including this crate, so the lint itself is
 //! written panic-free.
 //!
-//! Drive it with `bgc lint` (exit 5 on violations, 6 on a stale baseline)
-//! or [`lint_workspace`] directly.  See `docs/lint.md`.
+//! Drive it with `bgc lint` (exit 5 on violations) or [`lint_workspace`]
+//! directly.  See `docs/lint.md`.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules;
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use serde_json::Value;
 
-pub use baseline::{Baseline, StaleEntry};
 pub use bgc_runtime::FAULT_POINTS;
 pub use rules::{Rule, ALL_RULES};
 
-/// The baseline file name at the workspace root.
-pub const BASELINE_FILE: &str = "lint-baseline.json";
-
-/// A confirmed violation (post waiver/baseline filtering).
+/// A confirmed violation (post waiver filtering).
 #[derive(Clone, Debug)]
 pub struct Finding {
     /// The rule that fired.
@@ -57,33 +52,73 @@ pub struct Finding {
 pub struct LintReport {
     /// Violations, sorted by (file, line, rule).
     pub violations: Vec<Finding>,
-    /// Baseline entries that must be shrunk or removed.
-    pub stale: Vec<StaleEntry>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
     /// Findings suppressed by inline waivers.
     pub waived: usize,
-    /// Findings admitted by the committed baseline.
-    pub baselined: usize,
-    /// Current per-(rule, file) counts of baselineable findings (after
-    /// waivers) — the input to `--write-baseline`.
-    pub counts: BTreeMap<(Rule, String), usize>,
 }
 
 impl LintReport {
-    /// Whether the workspace is clean: no violations and no stale
-    /// baseline entries.
+    /// Whether the workspace is clean: no violations.
     pub fn is_clean(&self) -> bool {
-        self.violations.is_empty() && self.stale.is_empty()
+        self.violations.is_empty()
     }
 }
 
 /// Lints the workspace rooted at `root`: scans `crates/*/src/**/*.rs`
-/// against the committed baseline and `bgc_runtime::FAULT_POINTS`.
+/// against `bgc_runtime::FAULT_POINTS`.
 pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
-    let baseline = Baseline::load(&root.join(BASELINE_FILE))?;
-    let files = workspace_files(root)?;
-    lint_files(root, &files, &baseline, bgc_runtime::FAULT_POINTS)
+    let mut report = LintReport::default();
+    for path in workspace_files(root)? {
+        let rel = relative_path(root, &path);
+        let source = std::fs::read_to_string(&path)
+            .map_err(|err| format!("cannot read {}: {err}", path.display()))?;
+        report.files_scanned += 1;
+
+        let tokens = lexer::tokenize(&source);
+        let in_test = lexer::test_scope(&tokens);
+        let (waivers, waiver_findings) = rules::parse_waivers(&tokens);
+        let mut raw = rules::run_rules(&rel, &tokens, &in_test, FAULT_POINTS);
+        raw.extend(waiver_findings);
+
+        let mut waiver_used = vec![false; waivers.len()];
+        for finding in raw {
+            // A waiver covers its own line (trailing comment) and the
+            // next line (comment above the code).
+            let waived = waivers.iter().enumerate().find(|(_, w)| {
+                w.rule == finding.rule && (w.line == finding.line || w.line + 1 == finding.line)
+            });
+            if let Some((idx, _)) = waived {
+                waiver_used[idx] = true;
+                report.waived += 1;
+                continue;
+            }
+            report.violations.push(Finding {
+                rule: finding.rule,
+                file: rel.clone(),
+                line: finding.line,
+                message: finding.message,
+            });
+        }
+        for (idx, used) in waiver_used.iter().enumerate() {
+            if !used {
+                report.violations.push(Finding {
+                    rule: Rule::UnusedWaiver,
+                    file: rel.clone(),
+                    line: waivers[idx].line,
+                    message: format!(
+                        "waiver for `{}` suppressed nothing; remove it",
+                        waivers[idx].rule.name()
+                    ),
+                });
+            }
+        }
+    }
+
+    report
+        .violations
+        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    Ok(report)
 }
 
 /// Collects the lintable sources: every `.rs` file under `crates/*/src`,
@@ -136,105 +171,6 @@ fn sorted_dir(dir: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(entries)
 }
 
-/// Lints an explicit file list against an explicit baseline and
-/// fault-point registry (the testable core of [`lint_workspace`]).
-pub fn lint_files(
-    root: &Path,
-    files: &[PathBuf],
-    baseline: &Baseline,
-    fault_points: &[&str],
-) -> Result<LintReport, String> {
-    let mut report = LintReport::default();
-    // Raw survivors of waiver filtering, keyed for baseline application.
-    let mut surviving: Vec<Finding> = Vec::new();
-
-    for path in files {
-        let rel = relative_path(root, path);
-        let source = std::fs::read_to_string(path)
-            .map_err(|err| format!("cannot read {}: {err}", path.display()))?;
-        report.files_scanned += 1;
-
-        let tokens = lexer::tokenize(&source);
-        let in_test = lexer::test_scope(&tokens);
-        let (waivers, waiver_findings) = rules::parse_waivers(&tokens);
-        let mut raw = rules::run_rules(&rel, &tokens, &in_test, fault_points);
-        raw.extend(waiver_findings);
-
-        let mut waiver_used = vec![false; waivers.len()];
-        for finding in raw {
-            // A waiver covers its own line (trailing comment) and the
-            // next line (comment above the code).
-            let waived = waivers.iter().enumerate().find(|(_, w)| {
-                w.rule == finding.rule && (w.line == finding.line || w.line + 1 == finding.line)
-            });
-            if let Some((idx, _)) = waived {
-                waiver_used[idx] = true;
-                report.waived += 1;
-                continue;
-            }
-            surviving.push(Finding {
-                rule: finding.rule,
-                file: rel.clone(),
-                line: finding.line,
-                message: finding.message,
-            });
-        }
-        for (idx, used) in waiver_used.iter().enumerate() {
-            if !used {
-                surviving.push(Finding {
-                    rule: Rule::UnusedWaiver,
-                    file: rel.clone(),
-                    line: waivers[idx].line,
-                    message: format!(
-                        "waiver for `{}` suppressed nothing; remove it",
-                        waivers[idx].rule.name()
-                    ),
-                });
-            }
-        }
-    }
-
-    // Count baselineable findings per (rule, file), then either admit a
-    // file's findings (count within baseline) or surface them all.
-    for finding in &surviving {
-        if finding.rule.baselineable() {
-            *report
-                .counts
-                .entry((finding.rule, finding.file.clone()))
-                .or_insert(0) += 1;
-        }
-    }
-    for finding in surviving {
-        if finding.rule.baselineable() {
-            let found = report
-                .counts
-                .get(&(finding.rule, finding.file.clone()))
-                .copied()
-                .unwrap_or(0);
-            let allowed = baseline.allowed(finding.rule, &finding.file);
-            if found <= allowed {
-                report.baselined += 1;
-                continue;
-            }
-            report.violations.push(Finding {
-                message: format!(
-                    "{} [file has {found} findings, baseline allows {allowed}]",
-                    finding.message
-                ),
-                ..finding
-            });
-            continue;
-        }
-        report.violations.push(finding);
-    }
-
-    report
-        .violations
-        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    report.stale = baseline.stale_entries(&report.counts);
-    Ok(report)
-}
-
 /// Finds the workspace root by ascending from the current directory until
 /// a directory containing both `Cargo.toml` and `crates/` appears.
 pub fn find_workspace_root() -> Result<PathBuf, String> {
@@ -258,14 +194,14 @@ pub fn find_workspace_root() -> Result<PathBuf, String> {
 }
 
 /// `path` relative to `root` with `/` separators (the spelling used in
-/// findings, waiver docs and the baseline).
+/// findings and waiver docs).
 fn relative_path(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
     rel.to_string_lossy().replace('\\', "/")
 }
 
 /// Renders the report for humans: one `file:line: rule: message` per
-/// violation, stale entries, then a summary line.
+/// violation, then a summary line.
 pub fn render_human(report: &LintReport) -> String {
     let mut out = String::new();
     for finding in &report.violations {
@@ -277,20 +213,11 @@ pub fn render_human(report: &LintReport) -> String {
             finding.message
         ));
     }
-    for stale in &report.stale {
-        out.push_str(&format!(
-            "lint-baseline.json: stale entry {} / {} (allowed {}, found {}): {}\n",
-            stale.rule, stale.file, stale.allowed, stale.found, stale.why
-        ));
-    }
     out.push_str(&format!(
-        "bgc-lint: {} file(s) scanned, {} violation(s), {} stale baseline entr{}, {} waived, {} baselined\n",
+        "bgc-lint: {} file(s) scanned, {} violation(s), {} waived\n",
         report.files_scanned,
         report.violations.len(),
-        report.stale.len(),
-        if report.stale.len() == 1 { "y" } else { "ies" },
         report.waived,
-        report.baselined,
     ));
     out
 }
@@ -309,31 +236,13 @@ pub fn render_json(report: &LintReport) -> String {
             ])
         })
         .collect();
-    let stale: Vec<Value> = report
-        .stale
-        .iter()
-        .map(|s| {
-            Value::Object(vec![
-                ("rule".to_string(), Value::String(s.rule.clone())),
-                ("file".to_string(), Value::String(s.file.clone())),
-                ("allowed".to_string(), Value::Number(s.allowed as f64)),
-                ("found".to_string(), Value::Number(s.found as f64)),
-                ("why".to_string(), Value::String(s.why.clone())),
-            ])
-        })
-        .collect();
     let doc = Value::Object(vec![
         (
             "files_scanned".to_string(),
             Value::Number(report.files_scanned as f64),
         ),
         ("violations".to_string(), Value::Array(violations)),
-        ("stale_baseline".to_string(), Value::Array(stale)),
         ("waived".to_string(), Value::Number(report.waived as f64)),
-        (
-            "baselined".to_string(),
-            Value::Number(report.baselined as f64),
-        ),
         ("clean".to_string(), Value::Bool(report.is_clean())),
     ]);
     let mut text = doc.to_json_string_pretty();
@@ -346,7 +255,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renderers_cover_violations_and_stale_entries() {
+    fn renderers_cover_violations() {
         let report = LintReport {
             violations: vec![Finding {
                 rule: Rule::UncheckedPanic,
@@ -354,22 +263,12 @@ mod tests {
                 line: 7,
                 message: ".unwrap() in library code".to_string(),
             }],
-            stale: vec![StaleEntry {
-                rule: "unchecked-panic".to_string(),
-                file: "crates/b/src/lib.rs".to_string(),
-                allowed: 2,
-                found: 1,
-                why: "shrink".to_string(),
-            }],
             files_scanned: 2,
             waived: 1,
-            baselined: 3,
-            counts: BTreeMap::new(),
         };
         let human = render_human(&report);
         assert!(human.contains("crates/a/src/lib.rs:7: unchecked-panic:"));
-        assert!(human.contains("stale entry unchecked-panic / crates/b/src/lib.rs"));
-        assert!(human.contains("2 file(s) scanned, 1 violation(s), 1 stale baseline entry"));
+        assert!(human.contains("2 file(s) scanned, 1 violation(s), 1 waived"));
         let json = render_json(&report);
         let value = serde_json::from_str(&json).expect("valid JSON");
         assert_eq!(value.get("files_scanned").and_then(|v| v.as_u64()), Some(2));

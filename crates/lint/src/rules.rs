@@ -2,13 +2,13 @@
 //!
 //! Every rule skips test scope (`#[test]`, `#[cfg(test)]`, inline
 //! `mod tests`) — the invariants guard library behaviour, and tests are
-//! free to unwrap, poison locks and use toy fault points.  Waivers and the
-//! baseline are applied by the driver in `lib.rs`, not here: rules report
-//! every raw match.
+//! free to unwrap, poison locks and use toy fault points.  Waivers are
+//! applied by the driver in `lib.rs`, not here: rules report every raw
+//! match.
 
 use crate::lexer::{use_scope, Token, TokenKind};
 
-/// A single raw rule match before waiver/baseline filtering.
+/// A single raw rule match before waiver filtering.
 #[derive(Clone, Debug)]
 pub struct RawFinding {
     /// The rule that fired.
@@ -26,9 +26,8 @@ pub enum Rule {
     /// poisoned lock aborts every later caller instead of recovering via
     /// `bgc_runtime::relock`.
     PoisonUnsafeLock,
-    /// `unwrap`/`expect`/`panic!` in non-test library code.  The only
-    /// baselineable rule: pre-existing sites live in `lint-baseline.json`
-    /// and may only be removed, never added.
+    /// `unwrap`/`expect`/`panic!` in non-test library code: library
+    /// failures are typed errors, not panics.
     UncheckedPanic,
     /// `HashMap`/`HashSet` in a designated order-sensitive file
     /// (canonicalization, persistence, report assembly): iteration order
@@ -48,7 +47,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// The stable kebab-case name used in waivers, the baseline and output.
+    /// The stable kebab-case name used in waivers and output.
     pub fn name(self) -> &'static str {
         match self {
             Rule::PoisonUnsafeLock => "poison-unsafe-lock",
@@ -64,13 +63,6 @@ impl Rule {
     /// Parses a rule name as written in a waiver comment.
     pub fn from_name(name: &str) -> Option<Rule> {
         ALL_RULES.iter().copied().find(|r| r.name() == name)
-    }
-
-    /// Whether pre-existing findings of this rule may live in the
-    /// committed baseline.  Only `unchecked-panic` ratchets; every other
-    /// rule must be fixed or waived at the site.
-    pub fn baselineable(self) -> bool {
-        matches!(self, Rule::UncheckedPanic)
     }
 }
 

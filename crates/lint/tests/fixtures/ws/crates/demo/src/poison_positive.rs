@@ -1,8 +1,7 @@
 //! Positive fixture for `poison-unsafe-lock`: the exact memo-lock shape the
 //! workspace used before `bgc_runtime::relock` (condense/methods.rs and
 //! core/selector.rs pre-fix), plus the RwLock variant from the registry.
-//! The unwrap/expect here also fire `unchecked-panic`; the fixture baseline
-//! admits those two so the lock findings stand alone.
+//! The unwrap/expect here also fire `unchecked-panic` (2 more findings).
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock, RwLock};

@@ -98,14 +98,9 @@ impl GnnModel for ChebyNet {
 
     fn parameters_mut(&mut self) -> Vec<&mut Matrix> {
         let mut out: Vec<&mut Matrix> = Vec::new();
-        let layers = self.w0.len();
-        let mut w0_iter = self.w0.iter_mut();
-        let mut w1_iter = self.w1.iter_mut();
-        let mut b_iter = self.biases.iter_mut();
-        for _ in 0..layers {
-            out.push(w0_iter.next().expect("w0"));
-            out.push(w1_iter.next().expect("w1"));
-            out.push(b_iter.next().expect("bias"));
+        let layers = self.w0.iter_mut().zip(&mut self.w1).zip(&mut self.biases);
+        for ((w0, w1), bias) in layers {
+            out.extend([w0, w1, bias]);
         }
         out
     }

@@ -96,18 +96,13 @@ impl GnnModel for GraphSage {
 
     fn parameters_mut(&mut self) -> Vec<&mut Matrix> {
         let mut out: Vec<&mut Matrix> = Vec::new();
-        let layers = self.self_weights.len();
-        let (sw, rest) = (
-            &mut self.self_weights,
-            (&mut self.neigh_weights, &mut self.biases),
-        );
-        let mut sw_iter = sw.iter_mut();
-        let mut nw_iter = rest.0.iter_mut();
-        let mut b_iter = rest.1.iter_mut();
-        for _ in 0..layers {
-            out.push(sw_iter.next().expect("self weight"));
-            out.push(nw_iter.next().expect("neigh weight"));
-            out.push(b_iter.next().expect("bias"));
+        let layers = self
+            .self_weights
+            .iter_mut()
+            .zip(&mut self.neigh_weights)
+            .zip(&mut self.biases);
+        for ((self_weight, neigh_weight), bias) in layers {
+            out.extend([self_weight, neigh_weight, bias]);
         }
         out
     }

@@ -530,6 +530,7 @@ fn train_sampled_epochs(
             } else if rows == num_inputs {
                 tape.row_select(pass.logits, &target_positions)
             } else {
+                // bgc-lint: allow(unchecked-panic) — invariant: the experiment builder rejects a plan whose fanout count differs from the victim's depth before any trainer runs
                 panic!(
                     "sampled-plan depth mismatch: the model produced {} output rows for a \
                      batch of {} targets ({} input nodes) — a sampled plan needs exactly \

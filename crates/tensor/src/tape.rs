@@ -875,11 +875,11 @@ impl Tape {
 
     /// Differentiable solve of the SPD system `A X = B` (via Cholesky).
     /// Both `A` and `B` may carry gradients; used by the kernel ridge
-    /// regression objective of GC-SNTK.
-    pub fn solve_spd(&mut self, a: Var, b: Var) -> Var {
-        let value = crate::linalg::solve_spd(self.val(a.0), self.val(b.0))
-            .expect("solve_spd: matrix is not positive definite");
-        self.push_owned(value, Op::SolveSpd { a: a.0, b: b.0 })
+    /// regression objective of GC-SNTK.  Fails, recording nothing, when `A`
+    /// is not positive definite or the shapes disagree.
+    pub fn solve_spd(&mut self, a: Var, b: Var) -> Result<Var, crate::linalg::LinalgError> {
+        let value = crate::linalg::solve_spd(self.val(a.0), self.val(b.0))?;
+        Ok(self.push_owned(value, Op::SolveSpd { a: a.0, b: b.0 }))
     }
 
     // ------------------------------------------------------------------
@@ -1278,6 +1278,7 @@ impl Tape {
                     let av = val(*a);
                     let c = nodes[idx].value.matrix();
                     let db = crate::linalg::solve_spd(av, &grad)
+                        // bgc-lint: allow(unchecked-panic) — invariant: the forward pass already factorised this same `A`, and `grad` has the shape of `C`
                         .expect("solve_spd backward: matrix is not positive definite");
                     if needs(*a) {
                         let mut da = matmul_transpose_pooled(pool, &db, c);
@@ -1542,11 +1543,24 @@ mod tests {
             &b0,
             move |tape, b| {
                 let av = tape.leaf(a.clone());
-                let c = tape.solve_spd(av, b);
+                let c = tape.solve_spd(av, b).expect("A is SPD");
                 tape.sum_all(c)
             },
             2e-2,
         );
+    }
+
+    #[test]
+    fn solve_spd_rejects_an_indefinite_matrix_and_records_nothing() {
+        let mut tape = Tape::new();
+        let a = tape.leaf(Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]));
+        let b = tape.leaf(Matrix::identity(2));
+        let recorded = tape.len();
+        assert!(matches!(
+            tape.solve_spd(a, b),
+            Err(crate::linalg::LinalgError::NotPositiveDefinite { .. })
+        ));
+        assert_eq!(tape.len(), recorded);
     }
 
     #[test]

@@ -10,6 +10,9 @@ use bgc_graph::DatasetKind;
 use bgc_nn::AdjacencyRef;
 use bgc_tensor::init::rng_from_seed;
 
+/// Times the whole selection on every iteration: selector GCN training plus
+/// per-class k-means. (Until the process-wide selector memo was removed,
+/// every iteration after the first timed a memo hit, i.e. k-means only.)
 fn bench_selection(c: &mut Criterion) {
     let graph = DatasetKind::Cora.load_small(0);
     let mut config = BgcConfig::quick();

@@ -24,7 +24,9 @@ pub trait CondensationMethod: Send + Sync {
     /// Display name used in result tables, canonical keys and the CLI.
     fn name(&self) -> &str;
 
-    /// Runs condensation on `graph` with the given configuration.
+    /// Runs condensation on `graph` with the given configuration. The
+    /// experiment stages pass the graph's [`working_graph`], whose own
+    /// working graph is itself.
     fn condense(
         &self,
         graph: &Graph,
@@ -238,43 +240,18 @@ fn canonical_condenser_name(name: &str) -> Option<String> {
 /// Selects the graph the condensation actually operates on: the full graph for
 /// transductive datasets, the training subgraph for inductive ones (Table I).
 ///
-/// The inductive subgraph (induced adjacency + GCN re-normalization) is
-/// deterministic in the source graph, and every attack/condensation stage of
-/// an experiment cell derives it again — so it is memoized process-wide.
-/// Serving every stage the same feature and adjacency buffers is also what
-/// lets the poisoned-node selector's memo (keyed on buffer identity) hit
-/// for inductive datasets: without this memo, every inductive attack stage
-/// trains the selector GCN again.
-/// The key is [`Graph::memo_key`] — buffer identities plus a fingerprint of
-/// the editable metadata — and the memo holds clones of the graph's `Arc`s,
-/// so an address can never be recycled for a different graph while the
-/// entry exists.  The memo is cleared when it exceeds a small cap, bounding
-/// retained memory in long-lived processes.
+/// A graph that already is its own training subgraph — training split
+/// `0..n`, no validation or test nodes, as for a working graph or a poisoned
+/// graph built on one — is returned as is, sharing its feature and adjacency
+/// buffers: deriving its training subgraph again would copy the same data.
 pub fn working_graph(graph: &Graph) -> Graph {
-    use std::collections::BTreeMap;
-    use std::sync::{Arc, Mutex, OnceLock};
-
+    let split = &graph.split;
+    let is_training_subgraph = split.val.is_empty()
+        && split.test.is_empty()
+        && split.train.iter().copied().eq(0..graph.num_nodes());
     match graph.setting {
-        TaskSetting::Transductive => graph.clone(),
-        TaskSetting::Inductive => {
-            type Key = (usize, usize, u64);
-            type Guard = (Arc<bgc_tensor::Matrix>, Arc<bgc_tensor::CsrMatrix>);
-            const CAP: usize = 64;
-            static MEMO: OnceLock<Mutex<BTreeMap<Key, (Guard, Graph)>>> = OnceLock::new();
-            let memo = MEMO.get_or_init(|| Mutex::new(BTreeMap::new()));
-            let key = graph.memo_key();
-            if let Some((_, cached)) = bgc_runtime::relock(memo).get(&key) {
-                return cached.clone();
-            }
-            let work = graph.training_subgraph();
-            let guard = (graph.features.clone(), graph.normalized.clone());
-            let mut memo = bgc_runtime::relock(memo);
-            if memo.len() >= CAP {
-                memo.clear();
-            }
-            memo.entry(key).or_insert((guard, work.clone()));
-            work
-        }
+        TaskSetting::Inductive if !is_training_subgraph => graph.training_subgraph(),
+        _ => graph.clone(),
     }
 }
 
@@ -463,6 +440,11 @@ mod tests {
         let graph = DatasetKind::Flickr.load_small(1);
         let work = working_graph(&graph);
         assert_eq!(work.num_nodes(), graph.split.train.len());
+        // A working graph is its own working graph, buffers shared.
+        let again = working_graph(&work);
+        assert!(Arc::ptr_eq(&again.features, &work.features));
+        assert!(Arc::ptr_eq(&again.normalized, &work.normalized));
+        assert_eq!(again.split.train, work.split.train);
         let transductive = DatasetKind::Cora.load_small(1);
         assert_eq!(
             working_graph(&transductive).num_nodes(),

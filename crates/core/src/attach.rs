@@ -317,6 +317,38 @@ mod tests {
     }
 
     #[test]
+    fn poisoned_working_graph_is_its_own_working_graph_bit_for_bit() {
+        use bgc_condense::working_graph;
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let entries = |a: &bgc_tensor::CsrMatrix| {
+            (0..a.rows())
+                .flat_map(|r| a.row_iter(r).map(move |(c, v)| (r, c, v.to_bits())))
+                .collect::<Vec<_>>()
+        };
+        for dataset in [DatasetKind::Flickr, DatasetKind::Reddit] {
+            for seed in 0..3 {
+                let work = working_graph(&dataset.load_small(seed));
+                let nodes = &work.split.train[..4];
+                let mut rng = rng_from_seed(seed);
+                let triggers = randn(nodes.len() * 2, work.num_features(), 0.0, 1.0, &mut rng);
+                let poisoned = build_poisoned_graph(&work, nodes, &triggers, 2, 0);
+                for graph in [&work, &poisoned] {
+                    let same = working_graph(graph);
+                    assert!(Arc::ptr_eq(&same.features, &graph.features));
+                    assert!(Arc::ptr_eq(&same.adjacency, &graph.adjacency));
+                    assert!(Arc::ptr_eq(&same.normalized, &graph.normalized));
+                    let derived = graph.training_subgraph();
+                    assert_eq!(bits(&derived.features), bits(&graph.features));
+                    assert_eq!(entries(&derived.adjacency), entries(&graph.adjacency));
+                    assert_eq!(entries(&derived.normalized), entries(&graph.normalized));
+                    assert_eq!(derived.labels, graph.labels);
+                    assert_eq!(derived.split, graph.split);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn combined_features_stack_in_the_right_order() {
         let graph = DatasetKind::Cora.load_small(2);
         let node = graph.split.train[1];

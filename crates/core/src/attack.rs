@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 
 use bgc_condense::{
-    working_graph, CondensationKind, CondensationMethod, CondenseError, GradientMatchingState,
+    CondensationKind, CondensationMethod, CondenseError, GradientMatchingState,
     IncrementalPropagation, MatchingVariant,
 };
 use bgc_graph::{CondensedGraph, Graph};
@@ -25,7 +25,7 @@ use bgc_tensor::{Matrix, Tape};
 use crate::attach::{attach_to_computation_graph, build_poisoned_graph, AttachedGraph};
 use crate::config::BgcConfig;
 use crate::error::BgcError;
-use crate::selector::select_poisoned_nodes;
+use crate::selector::WorkingGraph;
 use crate::trigger::TriggerGenerator;
 
 /// Result of a BGC attack run.
@@ -36,9 +36,6 @@ pub struct BgcOutcome {
     pub generator: TriggerGenerator,
     /// The poisoned node set `V_P` (indices into the working graph).
     pub poisoned_nodes: Vec<usize>,
-    /// The graph the condensation actually ran on (training subgraph for
-    /// inductive datasets, the full graph otherwise).
-    pub working_graph: Graph,
     /// Gradient-matching loss per condensation epoch.
     pub matching_losses: Vec<f32>,
     /// Trigger-generator loss per generator update.
@@ -62,16 +59,28 @@ impl BgcAttack {
         self.run_with(graph, kind.build().as_ref())
     }
 
-    /// Runs the attack against an arbitrary registered condensation method.
+    /// Runs the attack against an arbitrary registered condensation method
+    /// on the working graph of `graph` (see [`BgcAttack::run_on`]).
+    pub fn run_with(
+        &self,
+        graph: &Graph,
+        method: &dyn CondensationMethod,
+    ) -> Result<BgcOutcome, BgcError> {
+        self.run_on(&WorkingGraph::new(graph), method)
+    }
+
+    /// Runs the attack against `method` on `work`, selecting the poisoned
+    /// nodes through its shared selector.
     ///
     /// For gradient-matching methods (those reporting a
     /// [`CondensationMethod::matching_variant`], e.g. DC-Graph, GCond,
     /// GCond-X) the trigger updates are interleaved with the condensation
-    /// updates exactly as in Algorithm 1.  For kernel methods like GC-SNTK
-    /// the triggers are optimized against a gradient-matching surrogate and
-    /// the final poisoned graph is then condensed with the method itself (the
-    /// adaptation is documented in DESIGN.md); the method's capacity check
-    /// preserves the OOM behaviour of GC-SNTK.
+    /// updates exactly as in Algorithm 1. Kernel methods like GC-SNTK have no
+    /// per-epoch condensed-graph update to interleave with: the triggers are
+    /// optimized against a GCond-X gradient-matching surrogate run for the
+    /// same epochs, and the graph poisoned with the final triggers is then
+    /// condensed once with the method itself. The method's capacity check
+    /// runs before selection, so GC-SNTK above its node limit reports OOM.
     ///
     /// The poisoned graph `G_P` keeps one structure for the whole loop; only
     /// its trigger rows (the last `|V_P| · trigger_size` rows of `X`) change
@@ -86,29 +95,28 @@ impl BgcAttack {
     /// Fails with [`BgcError::NoPoisonCandidates`] when selection finds no
     /// node to poison, e.g. a directed attack whose source class has no
     /// training nodes.
-    pub fn run_with(
+    pub fn run_on(
         &self,
-        graph: &Graph,
+        work: &WorkingGraph,
         method: &dyn CondensationMethod,
     ) -> Result<BgcOutcome, BgcError> {
-        self.run_observed(graph, method, &mut |_, _, _| {})
+        self.run_observed(work, method, &mut |_, _, _| {})
     }
 
-    /// [`BgcAttack::run_with`], calling `observe(poisoned, trigger_features,
+    /// [`BgcAttack::run_on`], calling `observe(poisoned, trigger_features,
     /// z_real)` after each outer epoch's propagation. `poisoned` holds the
     /// structure, labels and split of `G_P` with its first epoch's features.
     fn run_observed(
         &self,
-        graph: &Graph,
+        work: &WorkingGraph,
         method: &dyn CondensationMethod,
         observe: &mut dyn FnMut(&Graph, &Matrix, &Matrix),
     ) -> Result<BgcOutcome, BgcError> {
-        let work = working_graph(graph);
         if work.split.train.is_empty() {
             return Err(CondenseError::NoTrainingNodes.into());
         }
-        method.check_capacity(&work, &self.config.condensation)?;
-        let selection = select_poisoned_nodes(&work, &self.config)?;
+        method.check_capacity(work, &self.config.condensation)?;
+        let selection = work.select(&self.config)?;
         let mut rng = rng_from_seed(self.config.seed ^ 0xb6c);
         let mut generator = TriggerGenerator::with_feature_scale(
             self.config.generator,
@@ -118,10 +126,10 @@ impl BgcAttack {
             self.config.trigger_feature_scale,
             &mut rng,
         );
-        let adj = AdjacencyRef::from_graph(&work);
+        let adj = AdjacencyRef::from_graph(work);
         let matching_variant = method.matching_variant().unwrap_or(MatchingVariant::GCondX);
         let mut state =
-            GradientMatchingState::new(&work, matching_variant, self.config.condensation.clone());
+            GradientMatchingState::new(work, matching_variant, self.config.condensation.clone());
         let mut generator_opt = Adam::new(self.config.generator_lr, 0.0);
         let mut attached_cache: BTreeMap<usize, AttachedGraph> = BTreeMap::new();
         let mut matching_losses = Vec::new();
@@ -154,7 +162,7 @@ impl BgcAttack {
                     &mut generator,
                     &mut generator_opt,
                     &gen_zero_grads,
-                    &work,
+                    work,
                     &adj,
                     &state.surrogate_weight,
                     &mut rng,
@@ -171,7 +179,7 @@ impl BgcAttack {
             );
             let (poisoned, propagation) = poisoned_state.get_or_insert_with(|| {
                 let built = build_poisoned_graph(
-                    &work,
+                    work,
                     &selection.poisoned_nodes,
                     &trigger_features,
                     self.config.trigger_size,
@@ -195,7 +203,7 @@ impl BgcAttack {
             let trigger_features =
                 generator.generate_plain(&adj, &work.features, &selection.poisoned_nodes);
             let poisoned = build_poisoned_graph(
-                &work,
+                work,
                 &selection.poisoned_nodes,
                 &trigger_features,
                 self.config.trigger_size,
@@ -210,7 +218,6 @@ impl BgcAttack {
             condensed,
             generator,
             poisoned_nodes: selection.poisoned_nodes,
-            working_graph: work,
             matching_losses,
             trigger_losses,
         })
@@ -313,9 +320,10 @@ mod tests {
     #[test]
     fn attack_produces_condensed_graph_and_decreasing_trigger_loss() {
         let graph = DatasetKind::Cora.load_small(21);
+        let work = WorkingGraph::new(&graph);
         let attack = BgcAttack::new(tiny_config());
         let outcome = attack
-            .run(&graph, CondensationKind::GCondX)
+            .run_on(&work, CondensationKind::GCondX.build().as_ref())
             .expect("attack should run");
         assert!(outcome.condensed.num_nodes() >= graph.num_classes);
         assert_eq!(outcome.matching_losses.len(), 15);
@@ -332,7 +340,7 @@ mod tests {
         );
         // Poisoned nodes never come from the target class.
         for &p in &outcome.poisoned_nodes {
-            assert_ne!(outcome.working_graph.labels[p], attack.config.target_class);
+            assert_ne!(work.labels[p], attack.config.target_class);
         }
     }
 
@@ -347,7 +355,7 @@ mod tests {
                 let mut epochs = 0;
                 BgcAttack::new(config)
                     .run_observed(
-                        &graph,
+                        &WorkingGraph::new(&graph),
                         kind.build().as_ref(),
                         &mut |poisoned, triggers, z| {
                             // The former per-epoch path: stack the clean rows

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 
 use bgc_condense::{
-    working_graph, CondensationKind, CondensationMethod, CondenseError, GradientMatchingState,
+    CondensationKind, CondensationMethod, CondenseError, GradientMatchingState,
     IncrementalPropagation, MatchingVariant,
 };
 use bgc_graph::{CondensedGraph, Graph};
@@ -25,7 +25,7 @@ use bgc_tensor::{Matrix, Tape};
 use crate::attach::{attach_to_computation_graph, build_poisoned_graph, AttachedGraph};
 use crate::config::BgcConfig;
 use crate::error::BgcError;
-use crate::selector::select_poisoned_nodes;
+use crate::selector::WorkingGraph;
 use crate::trigger::UniversalTrigger;
 
 /// Result of the adapted DOORPING attack.
@@ -34,10 +34,8 @@ pub struct DoorpingOutcome {
     pub condensed: CondensedGraph,
     /// The learned universal trigger.
     pub trigger: UniversalTrigger,
-    /// Selected poisoned nodes.
+    /// Selected poisoned nodes (indices into the working graph).
     pub poisoned_nodes: Vec<usize>,
-    /// Graph the condensation operated on.
-    pub working_graph: Graph,
 }
 
 /// The adapted DOORPING baseline.
@@ -126,12 +124,21 @@ impl DoorpingAttack {
         graph: &Graph,
         method: &dyn CondensationMethod,
     ) -> Result<DoorpingOutcome, BgcError> {
-        let work = working_graph(graph);
+        self.run_on(&WorkingGraph::new(graph), method)
+    }
+
+    /// [`Self::run_with`] on `work`, selecting the poisoned nodes through
+    /// its shared selector.
+    pub fn run_on(
+        &self,
+        work: &WorkingGraph,
+        method: &dyn CondensationMethod,
+    ) -> Result<DoorpingOutcome, BgcError> {
         if work.split.train.is_empty() {
             return Err(CondenseError::NoTrainingNodes.into());
         }
-        method.check_capacity(&work, &self.config.condensation)?;
-        let selection = select_poisoned_nodes(&work, &self.config)?;
+        method.check_capacity(work, &self.config.condensation)?;
+        let selection = work.select(&self.config)?;
         let mut rng = rng_from_seed(self.config.seed ^ 0xd00);
         let mut trigger = randn(
             self.config.trigger_size,
@@ -141,14 +148,13 @@ impl DoorpingAttack {
             &mut rng,
         );
         let variant = method.matching_variant().unwrap_or(MatchingVariant::GCondX);
-        let mut state =
-            GradientMatchingState::new(&work, variant, self.config.condensation.clone());
+        let mut state = GradientMatchingState::new(work, variant, self.config.condensation.clone());
         let mut optimizer = Adam::new(self.config.generator_lr, 0.0);
         let mut cache = BTreeMap::new();
         let mut tape = Tape::new();
         let trigger_zero_grad = Matrix::zeros(trigger.rows(), trigger.cols());
         // `G_P` (assembled on the first epoch) and the propagation state
-        // that carries its current trigger rows (see `BgcAttack::run_with`).
+        // that carries its current trigger rows (see `BgcAttack::run_on`).
         let mut poisoned_state: Option<(Graph, IncrementalPropagation)> = None;
         for epoch in 0..self.config.condensation.outer_epochs {
             if epoch % self.config.condensation.surrogate_resample_every == 0 {
@@ -161,24 +167,16 @@ impl DoorpingAttack {
                     &mut trigger,
                     &mut optimizer,
                     &trigger_zero_grad,
-                    &work,
+                    work,
                     &state.surrogate_weight,
                     &mut rng,
                     &mut cache,
                 );
             }
-            // Every poisoned node receives the same universal trigger block.
-            let mut rows = Vec::with_capacity(selection.poisoned_nodes.len());
-            for _ in 0..selection.poisoned_nodes.len() {
-                rows.push(trigger.clone());
-            }
-            let stacked = rows
-                .iter()
-                .skip(1)
-                .fold(rows[0].clone(), |acc, m| acc.vstack(m));
+            let stacked = stacked_trigger(&trigger, selection.poisoned_nodes.len());
             let (poisoned, propagation) = poisoned_state.get_or_insert_with(|| {
                 let built = build_poisoned_graph(
-                    &work,
+                    work,
                     &selection.poisoned_nodes,
                     &stacked,
                     self.config.trigger_size,
@@ -193,18 +191,10 @@ impl DoorpingAttack {
             state.step_with_real_representation(poisoned, propagation.representation());
         }
         let condensed = if method.matching_variant().is_none() {
-            let mut rows = Vec::with_capacity(selection.poisoned_nodes.len());
-            for _ in 0..selection.poisoned_nodes.len() {
-                rows.push(trigger.clone());
-            }
-            let stacked = rows
-                .iter()
-                .skip(1)
-                .fold(rows[0].clone(), |acc, m| acc.vstack(m));
             let poisoned = build_poisoned_graph(
-                &work,
+                work,
                 &selection.poisoned_nodes,
-                &stacked,
+                &stacked_trigger(&trigger, selection.poisoned_nodes.len()),
                 self.config.trigger_size,
                 self.config.target_class,
             );
@@ -216,9 +206,15 @@ impl DoorpingAttack {
             condensed,
             trigger: UniversalTrigger::new(trigger),
             poisoned_nodes: selection.poisoned_nodes,
-            working_graph: work,
         })
     }
+}
+
+/// The universal trigger block repeated once per poisoned node: every
+/// poisoned node receives the same trigger.
+fn stacked_trigger(trigger: &Matrix, copies: usize) -> Matrix {
+    let rows: Vec<usize> = (0..copies).flat_map(|_| 0..trigger.rows()).collect();
+    trigger.select_rows(&rows)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use bgc_condense::{working_graph, CondensationKind, CondensationMethod, CondenseError};
+use bgc_condense::{CondensationKind, CondensationMethod, CondenseError};
 use bgc_graph::{CondensedGraph, Graph};
 use bgc_nn::{Adam, AdjacencyRef};
 use bgc_tensor::init::{rng_from_seed, xavier_uniform};
@@ -18,7 +18,7 @@ use crate::attach::build_poisoned_graph;
 use crate::attack::generator_update_step;
 use crate::config::BgcConfig;
 use crate::error::BgcError;
-use crate::selector::select_poisoned_nodes;
+use crate::selector::WorkingGraph;
 use crate::trigger::TriggerGenerator;
 
 /// Result of the adapted GTA attack.
@@ -27,10 +27,8 @@ pub struct GtaOutcome {
     pub condensed: CondensedGraph,
     /// The trigger generator (frozen after pre-training).
     pub generator: TriggerGenerator,
-    /// Selected poisoned nodes.
+    /// Selected poisoned nodes (indices into the working graph).
     pub poisoned_nodes: Vec<usize>,
-    /// Graph the condensation operated on.
-    pub working_graph: Graph,
 }
 
 /// The adapted GTA baseline.
@@ -82,12 +80,21 @@ impl GtaAttack {
         graph: &Graph,
         method: &dyn CondensationMethod,
     ) -> Result<GtaOutcome, BgcError> {
-        let work = working_graph(graph);
+        self.run_on(&WorkingGraph::new(graph), method)
+    }
+
+    /// [`Self::run_with`] on `work`, selecting the poisoned nodes through
+    /// its shared selector.
+    pub fn run_on(
+        &self,
+        work: &WorkingGraph,
+        method: &dyn CondensationMethod,
+    ) -> Result<GtaOutcome, BgcError> {
         if work.split.train.is_empty() {
             return Err(CondenseError::NoTrainingNodes.into());
         }
-        method.check_capacity(&work, &self.config.condensation)?;
-        let selection = select_poisoned_nodes(&work, &self.config)?;
+        method.check_capacity(work, &self.config.condensation)?;
+        let selection = work.select(&self.config)?;
         let mut rng = rng_from_seed(self.config.seed ^ 0x67b);
         let mut generator = TriggerGenerator::with_feature_scale(
             self.config.generator,
@@ -97,8 +104,8 @@ impl GtaAttack {
             self.config.trigger_feature_scale,
             &mut rng,
         );
-        let adj = AdjacencyRef::from_graph(&work);
-        let surrogate = self.static_surrogate(&work);
+        let adj = AdjacencyRef::from_graph(work);
+        let surrogate = self.static_surrogate(work);
         let mut optimizer = Adam::new(self.config.generator_lr, 0.0);
         let mut cache = BTreeMap::new();
         let mut tape = Tape::new();
@@ -114,7 +121,7 @@ impl GtaAttack {
                 &mut generator,
                 &mut optimizer,
                 &zero_grads,
-                &work,
+                work,
                 &adj,
                 &surrogate,
                 &mut rng,
@@ -124,7 +131,7 @@ impl GtaAttack {
         let trigger_features =
             generator.generate_plain(&adj, &work.features, &selection.poisoned_nodes);
         let poisoned = build_poisoned_graph(
-            &work,
+            work,
             &selection.poisoned_nodes,
             &trigger_features,
             self.config.trigger_size,
@@ -135,7 +142,6 @@ impl GtaAttack {
             condensed,
             generator,
             poisoned_nodes: selection.poisoned_nodes,
-            working_graph: work,
         })
     }
 }

@@ -11,7 +11,7 @@ use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
 
 use bgc_condense::CondensationMethod;
-use bgc_graph::{CondensedGraph, Graph};
+use bgc_graph::CondensedGraph;
 use bgc_registry::{Named, Registry};
 
 use crate::attack::BgcAttack;
@@ -19,6 +19,7 @@ use crate::baselines::naive_poison::NaivePoisonConfig;
 use crate::baselines::{DoorpingAttack, GtaAttack, NaivePoisonAttack};
 use crate::config::BgcConfig;
 use crate::error::BgcError;
+use crate::selector::WorkingGraph;
 use crate::trigger::TriggerProvider;
 use crate::variants::randomized_selection;
 
@@ -49,11 +50,13 @@ pub trait Attack: Send + Sync {
         false
     }
 
-    /// Runs the attack against `method` on `graph` and returns the poisoned
-    /// condensed graph plus the test-time trigger provider.
+    /// Runs the attack against `method` on the working graph `work` and
+    /// returns the poisoned condensed graph plus the test-time trigger
+    /// provider. `work` also carries the selector shared by every attack on
+    /// the same dataset and seed ([`WorkingGraph::select`]).
     fn run(
         &self,
-        graph: &Graph,
+        work: &WorkingGraph,
         method: &dyn CondensationMethod,
         config: &BgcConfig,
         clean: Option<&CondensedGraph>,
@@ -222,12 +225,12 @@ impl Attack for BgcEntry {
 
     fn run(
         &self,
-        graph: &Graph,
+        work: &WorkingGraph,
         method: &dyn CondensationMethod,
         config: &BgcConfig,
         _clean: Option<&CondensedGraph>,
     ) -> Result<AttackArtifacts, BgcError> {
-        let outcome = BgcAttack::new(config.clone()).run_with(graph, method)?;
+        let outcome = BgcAttack::new(config.clone()).run_on(work, method)?;
         Ok(AttackArtifacts {
             condensed: Arc::new(outcome.condensed),
             provider: Arc::new(outcome.generator),
@@ -245,13 +248,13 @@ impl Attack for BgcRandEntry {
 
     fn run(
         &self,
-        graph: &Graph,
+        work: &WorkingGraph,
         method: &dyn CondensationMethod,
         config: &BgcConfig,
         _clean: Option<&CondensedGraph>,
     ) -> Result<AttackArtifacts, BgcError> {
         let rand_config = randomized_selection(config);
-        let outcome = BgcAttack::new(rand_config).run_with(graph, method)?;
+        let outcome = BgcAttack::new(rand_config).run_on(work, method)?;
         Ok(AttackArtifacts {
             condensed: Arc::new(outcome.condensed),
             provider: Arc::new(outcome.generator),
@@ -273,7 +276,7 @@ impl Attack for NaivePoisonEntry {
 
     fn run(
         &self,
-        graph: &Graph,
+        work: &WorkingGraph,
         _method: &dyn CondensationMethod,
         config: &BgcConfig,
         clean: Option<&CondensedGraph>,
@@ -287,7 +290,7 @@ impl Attack for NaivePoisonEntry {
             poison_fraction: 0.3,
             seed: config.seed,
         });
-        let outcome = naive.poison_condensed(clean, graph.num_features());
+        let outcome = naive.poison_condensed(clean, work.num_features());
         Ok(AttackArtifacts {
             condensed: Arc::new(outcome.condensed),
             provider: Arc::new(outcome.trigger),
@@ -305,12 +308,12 @@ impl Attack for GtaEntry {
 
     fn run(
         &self,
-        graph: &Graph,
+        work: &WorkingGraph,
         method: &dyn CondensationMethod,
         config: &BgcConfig,
         _clean: Option<&CondensedGraph>,
     ) -> Result<AttackArtifacts, BgcError> {
-        let outcome = GtaAttack::new(config.clone()).run_with(graph, method)?;
+        let outcome = GtaAttack::new(config.clone()).run_on(work, method)?;
         Ok(AttackArtifacts {
             condensed: Arc::new(outcome.condensed),
             provider: Arc::new(outcome.generator),
@@ -328,12 +331,12 @@ impl Attack for DoorpingEntry {
 
     fn run(
         &self,
-        graph: &Graph,
+        work: &WorkingGraph,
         method: &dyn CondensationMethod,
         config: &BgcConfig,
         _clean: Option<&CondensedGraph>,
     ) -> Result<AttackArtifacts, BgcError> {
-        let outcome = DoorpingAttack::new(config.clone()).run_with(graph, method)?;
+        let outcome = DoorpingAttack::new(config.clone()).run_on(work, method)?;
         Ok(AttackArtifacts {
             condensed: Arc::new(outcome.condensed),
             provider: Arc::new(outcome.trigger),
@@ -396,7 +399,8 @@ mod tests {
         let graph = bgc_graph::DatasetKind::Cora.load_small(3);
         let attack = resolve_attack("NaivePoison").unwrap();
         let method = bgc_condense::CondensationKind::GCondX.build();
-        let result = attack.run(&graph, method.as_ref(), &BgcConfig::quick(), None);
+        let work = WorkingGraph::new(&graph);
+        let result = attack.run(&work, method.as_ref(), &BgcConfig::quick(), None);
         assert!(matches!(
             result,
             Err(BgcError::MissingCleanReference { .. })

@@ -7,12 +7,17 @@
 //! nodes.  The top-n nodes per cluster are selected, with
 //! `n = Delta_P / ((C - 1) * K)`.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use bgc_condense::working_graph;
 use bgc_graph::Graph;
 use bgc_nn::models::Gcn;
 use bgc_nn::{train_with_plan, AdjacencyRef, TrainConfig, TrainingPlan};
+use bgc_runtime::OnceMap;
 use bgc_tensor::init::rng_from_seed;
 use bgc_tensor::{Matrix, Tape};
 
@@ -32,55 +37,113 @@ pub struct SelectionResult {
     pub selector_train_accuracy: f32,
 }
 
-/// Trains the selector GCN and returns hidden representations of every node.
-///
-/// The representations are a deterministic function of the graph and of
-/// `(seed, hidden_dim, selector_epochs)`; every attack on the same cell
-/// coordinates re-derives them, so they are memoized process-wide.  The key
-/// is [`Graph::memo_key`] — buffer identities plus a fingerprint of the
-/// editable metadata — and the memo holds clones of the graph's `Arc`s so
-/// an address can never be recycled for a different graph while the entry
-/// exists.  The memo is cleared when it exceeds a small cap, bounding
-/// retained memory in long-lived processes.
-fn selector_representations(graph: &Graph, config: &BgcConfig) -> (Matrix, f32) {
-    use std::collections::BTreeMap;
-    use std::sync::{Arc, Mutex, OnceLock};
-
-    type Key = ((usize, usize, u64), u64, usize, usize, TrainingPlan);
-    type Guard = (Arc<Matrix>, Arc<bgc_tensor::CsrMatrix>);
-    type Memo = Mutex<BTreeMap<Key, (Guard, Arc<(Matrix, f32)>)>>;
-    const CAP: usize = 64;
-    static MEMO: OnceLock<Memo> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| Mutex::new(BTreeMap::new()));
-    // The selector GCN's depth is fixed at 2: adapt a shared sampled plan
-    // to it instead of requiring every caller to match the fanout count.
-    let plan = match &config.training_plan {
-        TrainingPlan::FullBatch => TrainingPlan::FullBatch,
-        TrainingPlan::Sampled(sampled) => TrainingPlan::Sampled(sampled.with_depth(2)),
-    };
-    let key = (
-        graph.memo_key(),
-        config.seed,
-        config.hidden_dim,
-        config.selector_epochs,
-        plan.clone(),
-    );
-    if let Some((_, cached)) = bgc_runtime::relock(memo).get(&key) {
-        let (hidden, acc) = &**cached;
-        return (hidden.clone(), *acc);
-    }
-    let computed = selector_representations_uncached(graph, config, &plan);
-    let guard = (graph.features.clone(), graph.normalized.clone());
-    let mut memo = bgc_runtime::relock(memo);
-    if memo.len() >= CAP {
-        memo.clear();
-    }
-    memo.entry(key)
-        .or_insert_with(|| (guard, Arc::new(computed.clone())));
-    computed
+/// The graph that clean and attack stages run on (the training subgraph for
+/// inductive datasets, the graph itself otherwise; see [`working_graph`])
+/// plus a cache of its selector representations, keyed by `(seed,
+/// hidden_dim, selector_epochs, plan)`. Owning the graph ties the cache to
+/// it, so an entry is never served for another graph; concurrent callers of
+/// one entry wait for one training.
+pub struct WorkingGraph {
+    graph: Graph,
+    selectors: OnceMap<(u64, usize, usize, TrainingPlan), Representations>,
 }
 
-fn selector_representations_uncached(
+/// Penultimate-layer selector representations of every node plus the
+/// selector's training accuracy.
+type Representations = Arc<(Matrix, f32)>;
+
+impl WorkingGraph {
+    /// Derives the working graph of `graph` with an empty selector cache.
+    pub fn new(graph: &Graph) -> Self {
+        Self {
+            graph: working_graph(graph),
+            selectors: OnceMap::default(),
+        }
+    }
+
+    /// Selects the poisoned node set `V_P` according to the configured
+    /// strategy. Representative selection trains the selector GCN only if
+    /// no earlier call with the same selector settings did.
+    ///
+    /// Nodes of the target class are never selected (they already carry the
+    /// target label), matching the `C - 1` term of the budget formula. Fails
+    /// with [`BgcError::NoPoisonCandidates`] when no node can be selected,
+    /// e.g. for a directed attack whose source class has no training nodes.
+    pub fn select(&self, config: &BgcConfig) -> Result<SelectionResult, BgcError> {
+        let graph = &self.graph;
+        let budget = config
+            .poison_budget
+            .resolve(graph.split.train.len())
+            .min(graph.split.train.len());
+        let selection = match config.selection {
+            SelectionStrategy::Random => random_selection(graph, config, budget),
+            SelectionStrategy::Representative => {
+                representative_selection(self, config, budget, None)?
+            }
+            SelectionStrategy::DirectedFrom(source) => {
+                representative_selection(self, config, budget, Some(source))?
+            }
+        };
+        if selection.poisoned_nodes.is_empty() {
+            return Err(BgcError::NoPoisonCandidates(format!(
+                "{:?} selection found none among {} training nodes",
+                config.selection,
+                graph.split.train.len()
+            )));
+        }
+        Ok(selection)
+    }
+
+    /// `(trained, shared)`: selector GCNs trained by [`WorkingGraph::select`]
+    /// and selections that reused one.
+    pub fn selector_counts(&self) -> (usize, usize) {
+        self.selectors.counts()
+    }
+
+    fn representations(&self, config: &BgcConfig) -> Representations {
+        // The selector GCN's depth is fixed at 2: adapt a shared sampled
+        // plan to it instead of requiring every caller to match the fanout
+        // count.
+        let plan = match &config.training_plan {
+            TrainingPlan::FullBatch => TrainingPlan::FullBatch,
+            TrainingPlan::Sampled(sampled) => TrainingPlan::Sampled(sampled.with_depth(2)),
+        };
+        let key = (
+            config.seed,
+            config.hidden_dim,
+            config.selector_epochs,
+            plan.clone(),
+        );
+        self.selectors.get_or_compute(key, || {
+            Arc::new(selector_representations(&self.graph, config, &plan))
+        })
+    }
+}
+
+impl Deref for WorkingGraph {
+    type Target = Graph;
+
+    fn deref(&self) -> &Graph {
+        &self.graph
+    }
+}
+
+/// Selects the poisoned node set `V_P` of `graph` itself (not of its working
+/// graph) with a throwaway selector cache; see [`WorkingGraph::select`].
+pub fn select_poisoned_nodes(
+    graph: &Graph,
+    config: &BgcConfig,
+) -> Result<SelectionResult, BgcError> {
+    let work = WorkingGraph {
+        graph: graph.clone(),
+        selectors: OnceMap::default(),
+    };
+    work.select(config)
+}
+
+/// Trains the selector GCN and returns hidden representations of every node
+/// plus its training accuracy.
+fn selector_representations(
     graph: &Graph,
     config: &BgcConfig,
     plan: &TrainingPlan,
@@ -114,37 +177,6 @@ fn selector_representations_uncached(
     (tape.value_ref(hidden).clone(), acc)
 }
 
-/// Selects the poisoned node set `V_P` according to the configured strategy.
-///
-/// Nodes of the target class are never selected (they already carry the target
-/// label), matching the `C - 1` term of the budget formula. Fails with
-/// [`BgcError::NoPoisonCandidates`] when no node can be selected, e.g. for a
-/// directed attack whose source class has no training nodes.
-pub fn select_poisoned_nodes(
-    graph: &Graph,
-    config: &BgcConfig,
-) -> Result<SelectionResult, BgcError> {
-    let budget = config
-        .poison_budget
-        .resolve(graph.split.train.len())
-        .min(graph.split.train.len());
-    let selection = match config.selection {
-        SelectionStrategy::Random => random_selection(graph, config, budget),
-        SelectionStrategy::Representative => representative_selection(graph, config, budget, None)?,
-        SelectionStrategy::DirectedFrom(source) => {
-            representative_selection(graph, config, budget, Some(source))?
-        }
-    };
-    if selection.poisoned_nodes.is_empty() {
-        return Err(BgcError::NoPoisonCandidates(format!(
-            "{:?} selection found none among {} training nodes",
-            config.selection,
-            graph.split.train.len()
-        )));
-    }
-    Ok(selection)
-}
-
 fn random_selection(graph: &Graph, config: &BgcConfig, budget: usize) -> SelectionResult {
     let mut rng = rng_from_seed(config.seed ^ xrand_seed());
     let candidates: Vec<usize> = graph
@@ -172,11 +204,12 @@ const fn xrand_seed() -> u64 {
 }
 
 fn representative_selection(
-    graph: &Graph,
+    work: &WorkingGraph,
     config: &BgcConfig,
     budget: usize,
     source_class: Option<usize>,
 ) -> Result<SelectionResult, BgcError> {
+    let graph = &work.graph;
     // Classes eligible for poisoning.
     let classes: Vec<usize> = match source_class {
         Some(c) => vec![c],
@@ -190,7 +223,8 @@ fn representative_selection(
             config.target_class
         )));
     }
-    let (hidden, selector_acc) = selector_representations(graph, config);
+    let representations = work.representations(config);
+    let (hidden, selector_acc) = &*representations;
     let degrees = graph.degrees();
     let mut rng: StdRng = rng_from_seed(config.seed ^ 0x6b6d);
     let k = config.kmeans_clusters.max(1);
@@ -237,7 +271,7 @@ fn representative_selection(
     Ok(SelectionResult {
         poisoned_nodes,
         scores,
-        selector_train_accuracy: selector_acc,
+        selector_train_accuracy: *selector_acc,
     })
 }
 

@@ -13,7 +13,7 @@ use serde::Serialize;
 use bgc_condense::{resolve_condenser, CondensationMethod, MethodId};
 use bgc_core::{
     evaluate_backdoor, evaluate_clean_reference, resolve_attack, Attack, AttackId, BgcConfig,
-    BgcError, EvaluationOptions, VictimSpec,
+    BgcError, EvaluationOptions, VictimSpec, WorkingGraph,
 };
 use bgc_graph::{CondensedGraph, DatasetKind, Graph};
 use bgc_nn::mean_std;
@@ -195,11 +195,11 @@ pub fn clean_stage(
     Ok(method.condense(graph, &config.condensation)?)
 }
 
-/// Attack stage: runs `attack` against `method` on `graph` and returns the
-/// poisoned condensed graph plus the test-time trigger provider.  Attacks
-/// that report [`Attack::needs_clean_reference`] (the Naive Poison baseline)
-/// receive the clean condensed graph through `clean`; every other attack
-/// ignores it.
+/// Attack stage: runs `attack` against `method` on the working graph of
+/// `graph` and returns the poisoned condensed graph plus the test-time
+/// trigger provider.  Attacks that report [`Attack::needs_clean_reference`]
+/// (the Naive Poison baseline) receive the clean condensed graph through
+/// `clean`; every other attack ignores it.
 pub fn attack_stage(
     attack: &dyn Attack,
     method: &dyn CondensationMethod,
@@ -207,7 +207,7 @@ pub fn attack_stage(
     config: &BgcConfig,
     clean: Option<&CondensedGraph>,
 ) -> Result<AttackArtifacts, BgcError> {
-    attack.run(graph, method, config, clean)
+    attack.run(&WorkingGraph::new(graph), method, config, clean)
 }
 
 /// Resolves a spec's attack from the registry.
@@ -230,9 +230,9 @@ fn run_once(
     victim: &VictimSpec,
     options: &EvaluationOptions,
 ) -> Result<RepetitionOutcome, BgcError> {
-    // Clean reference condensation (shared by every attack).
-    let clean = clean_stage(graph, method, config)?;
-    let artifacts = attack_stage(attack, method, graph, config, Some(&clean))?;
+    let work = WorkingGraph::new(graph);
+    let clean = clean_stage(&work, method, config)?;
+    let artifacts = attack.run(&work, method, config, Some(&clean))?;
     let backdoored = evaluate_backdoor(
         graph,
         &artifacts.condensed,

@@ -59,14 +59,14 @@ use std::time::Duration;
 use rayon::prelude::*;
 use serde::Serialize;
 
-use bgc_runtime::{fault, relock, CancelToken, CancelUnwind, FaultPlan};
+use bgc_runtime::{fault, relock, CancelToken, CancelUnwind, FaultPlan, OnceMap};
 use bgc_store::{KeyBuilder, Store, StoreKey, StoreRole};
 
-use bgc_condense::{CondensationMethod, MethodId};
+use bgc_condense::MethodId;
 use bgc_core::{
-    asr_sample_nodes, attach_for_evaluation, directed_attack, evaluate_backdoor, Attack,
-    AttackArtifacts, AttackId, BgcConfig, BgcError, EvaluationOptions, GeneratorKind,
-    TriggerProvider, VictimSpec,
+    asr_sample_nodes, attach_for_evaluation, directed_attack, evaluate_backdoor, AttackArtifacts,
+    AttackId, BgcConfig, BgcError, EvaluationOptions, GeneratorKind, TriggerProvider, VictimSpec,
+    WorkingGraph,
 };
 use bgc_defense::{resolve_defense, Defense, DefenseId};
 use bgc_graph::{CondensedGraph, DatasetKind, Graph, PoisonBudget};
@@ -77,9 +77,7 @@ use bgc_tensor::init::rng_from_seed;
 use bgc_tensor::Matrix;
 
 use crate::artifact_codec;
-use crate::protocol::{
-    attack_stage, clean_stage, lookup_attack, lookup_method, AttackKind, RunMetrics, RunSpec,
-};
+use crate::protocol::{clean_stage, lookup_attack, lookup_method, AttackKind, RunMetrics, RunSpec};
 use crate::scale::ExperimentScale;
 
 /// Base seed of the experiment grid; repetition `i` of a cell runs with
@@ -501,43 +499,6 @@ pub struct CellGroup {
     pub keys: Vec<CellKey>,
 }
 
-/// A memoized computation stage shared between cells.  The first cell to
-/// need a stage computes it inside the slot's `OnceLock`; concurrent cells
-/// needing the same stage block on the lock and share the value.
-struct StageCache<T> {
-    slots: Mutex<BTreeMap<String, Arc<OnceLock<T>>>>,
-    hits: AtomicUsize,
-    computed: AtomicUsize,
-}
-
-impl<T: Clone> StageCache<T> {
-    fn new() -> Self {
-        Self {
-            slots: Mutex::new(BTreeMap::new()),
-            hits: AtomicUsize::new(0),
-            computed: AtomicUsize::new(0),
-        }
-    }
-
-    fn get_or_compute(&self, key: String, compute: impl FnOnce() -> T) -> T {
-        let slot = {
-            let mut slots = relock(&self.slots);
-            slots.entry(key).or_default().clone()
-        };
-        let mut ran = false;
-        let value = slot.get_or_init(|| {
-            ran = true;
-            compute()
-        });
-        if ran {
-            self.computed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        value.clone()
-    }
-}
-
 /// Cache-hit and execution counters of a [`Runner`].
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct RunnerStats {
@@ -553,6 +514,11 @@ pub struct RunnerStats {
     pub clean_stages_computed: usize,
     /// Clean condensations shared between cells (e.g. across attacks).
     pub clean_stage_hits: usize,
+    /// Selector GCNs trained for poisoned-node selection.
+    pub selectors_computed: usize,
+    /// Selections that reused a selector trained on the same working graph
+    /// (e.g. across attacks, methods and ratios).
+    pub selector_hits: usize,
     /// Cells and stages served from the content-addressed artifact store
     /// (computed by an earlier process or another concurrent process).
     pub store_hits: usize,
@@ -576,20 +542,26 @@ pub struct RunnerStats {
 impl RunnerStats {
     /// Total hits across every cache layer.
     pub fn total_hits(&self) -> usize {
-        self.cell_memory_hits + self.store_hits + self.attack_stage_hits + self.clean_stage_hits
+        self.cell_memory_hits
+            + self.store_hits
+            + self.attack_stage_hits
+            + self.clean_stage_hits
+            + self.selector_hits
     }
 
     /// One-line human-readable summary.  The store and prefetch parts only
     /// appear when nonzero.
     pub fn summary(&self) -> String {
         let mut summary = format!(
-            "cells: {} computed, {} memory hits | attack stages: {} computed, {} shared | clean stages: {} computed, {} shared",
+            "cells: {} computed, {} memory hits | attack stages: {} computed, {} shared | clean stages: {} computed, {} shared | selectors: {} computed, {} shared",
             self.cells_computed,
             self.cell_memory_hits,
             self.attack_stages_computed,
             self.attack_stage_hits,
             self.clean_stages_computed,
             self.clean_stage_hits,
+            self.selectors_computed,
+            self.selector_hits,
         );
         if self.store_hits + self.store_computed + self.store_degraded > 0 {
             summary.push_str(&format!(
@@ -864,6 +836,18 @@ impl GridReport {
 
 type StageResult<T> = Result<T, BgcError>;
 
+/// A generated dataset and the state derived from it, shared by every cell
+/// on the same `(dataset, seed)`.
+struct Dataset {
+    graph: Graph,
+    /// Content fingerprint for store keys, when a store is attached.
+    fingerprint: Option<u64>,
+    /// The working graph with its shared selectors, built by the first clean
+    /// or attack stage a cell computes: cells and stages served from the
+    /// store never derive one.
+    working: OnceLock<WorkingGraph>,
+}
+
 /// The experiment-grid engine.  See the module docs for the execution model.
 pub struct Runner {
     scale: ExperimentScale,
@@ -884,15 +868,12 @@ pub struct Runner {
     /// failed for the lifetime of the runner (so overlapping reports are
     /// deterministic); a fresh process retries it naturally.
     failures: Mutex<BTreeMap<CellKey, CellStatus>>,
-    clean_cache: StageCache<StageResult<Arc<CondensedGraph>>>,
-    attack_cache: StageCache<StageResult<AttackArtifacts>>,
+    clean_cache: OnceMap<String, StageResult<Arc<CondensedGraph>>>,
+    attack_cache: OnceMap<String, StageResult<AttackArtifacts>>,
     /// Generated datasets, shared across cells: `(dataset, seed)` fully
     /// determines the graph, so overlapping cells reuse one instance
     /// instead of re-generating it.
-    graphs: StageCache<Arc<Graph>>,
-    /// Content fingerprints of generated datasets (process-independent,
-    /// unlike the `Arc`-keyed memo identity), shared across cells.
-    fingerprints: StageCache<u64>,
+    datasets: OnceMap<String, Arc<Dataset>>,
     cells_computed: AtomicUsize,
     cell_memory_hits: AtomicUsize,
     store_hits: AtomicUsize,
@@ -923,10 +904,9 @@ impl Runner {
             epochs: CodeEpochs::default(),
             results: Mutex::new(BTreeMap::new()),
             failures: Mutex::new(BTreeMap::new()),
-            clean_cache: StageCache::new(),
-            attack_cache: StageCache::new(),
-            graphs: StageCache::new(),
-            fingerprints: StageCache::new(),
+            clean_cache: OnceMap::default(),
+            attack_cache: OnceMap::default(),
+            datasets: OnceMap::default(),
             cells_computed: AtomicUsize::new(0),
             cell_memory_hits: AtomicUsize::new(0),
             store_hits: AtomicUsize::new(0),
@@ -1396,13 +1376,24 @@ impl Runner {
     /// Snapshot of the cache/execution counters.
     pub fn stats(&self) -> RunnerStats {
         let prefetch = bgc_nn::prefetch_stats();
+        let (attack_stages_computed, attack_stage_hits) = self.attack_cache.counts();
+        let (clean_stages_computed, clean_stage_hits) = self.clean_cache.counts();
+        let (selectors_computed, selector_hits) = self
+            .datasets
+            .values()
+            .iter()
+            .filter_map(|dataset| dataset.working.get())
+            .map(|work| work.selector_counts())
+            .fold((0, 0), |(c, h), (dc, dh)| (c + dc, h + dh));
         RunnerStats {
             cells_computed: self.cells_computed.load(Ordering::Relaxed),
             cell_memory_hits: self.cell_memory_hits.load(Ordering::Relaxed),
-            attack_stages_computed: self.attack_cache.computed.load(Ordering::Relaxed),
-            attack_stage_hits: self.attack_cache.hits.load(Ordering::Relaxed),
-            clean_stages_computed: self.clean_cache.computed.load(Ordering::Relaxed),
-            clean_stage_hits: self.clean_cache.hits.load(Ordering::Relaxed),
+            attack_stages_computed,
+            attack_stage_hits,
+            clean_stages_computed,
+            clean_stage_hits,
+            selectors_computed,
+            selector_hits,
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_computed: self.store_computed.load(Ordering::Relaxed),
             store_degraded: self.store_degraded.load(Ordering::Relaxed),
@@ -1422,21 +1413,15 @@ impl Runner {
     /// computes the cell and publishes it.  Failed cells are returned but
     /// never stored; OOM cells are stored like any result.
     fn cell_through_store(&self, key: &CellKey) -> Result<CellResult, BgcError> {
-        let Some(store) = &self.store else {
-            self.cells_computed.fetch_add(1, Ordering::Relaxed);
-            return self.compute_cell(key);
-        };
-        let (result, role) = store.get_or_compute(
-            &self.cell_store_key(key),
-            |bytes| artifact_codec::decode_cell(bytes).map(Ok),
-            |result| result.as_ref().ok().map(artifact_codec::encode_cell),
+        self.through_store(
+            Some(self.cell_store_key(key)),
+            artifact_codec::decode_cell,
+            |cell| Some(artifact_codec::encode_cell(cell)),
             || {
                 self.cells_computed.fetch_add(1, Ordering::Relaxed);
                 self.compute_cell(key)
             },
-        );
-        self.count_role(role);
-        result
+        )
     }
 
     fn compute_cell(&self, key: &CellKey) -> Result<CellResult, BgcError> {
@@ -1451,18 +1436,19 @@ impl Runner {
         };
 
         let seed = key.seed();
-        let graph_memo = format!("{}|{}", key.dataset.name(), seed);
-        let graph = self.graphs.get_or_compute(graph_memo.clone(), || {
-            Arc::new(self.scale.load(key.dataset, seed))
+        let memo = format!("{}|{}", key.dataset.name(), seed);
+        let dataset = self.datasets.get_or_compute(memo, || {
+            let graph = self.scale.load(key.dataset, seed);
+            // Store keys need a process-independent dataset identity.
+            let fingerprint = self.store.as_ref().map(|_| graph.content_fingerprint());
+            Arc::new(Dataset {
+                graph,
+                fingerprint,
+                working: OnceLock::new(),
+            })
         });
-        // Store keys need a process-independent dataset identity (the memo
-        // key above is only unique within this process); computed once per
-        // graph, and only when a store is attached.
-        let graph_fp = self.store.as_ref().map(|_| {
-            let graph = graph.clone();
-            self.fingerprints
-                .get_or_compute(graph_memo, move || graph.content_fingerprint())
-        });
+        let (graph, graph_fp) = (&dataset.graph, dataset.fingerprint);
+        let work = || dataset.working.get_or_init(|| WorkingGraph::new(graph));
         let mut config = self.scale.bgc_config(key.dataset, key.ratio(), seed);
         let mut victim = self.scale.victim_spec_for(key.dataset);
         let mut options = self.scale.evaluation_options_for(key.dataset, seed);
@@ -1479,7 +1465,12 @@ impl Runner {
                 // so an injected `stage.clean` fault hits whenever the cell
                 // itself is not already in the store.
                 fault::fire("stage.clean");
-                self.clean_through_store(&graph, graph_fp, key, method.as_ref(), &config)
+                self.through_store(
+                    graph_fp.map(|fp| self.clean_store_key(key, fp, &config)),
+                    |bytes| artifact_codec::decode_condensed(bytes).map(Arc::new),
+                    |clean| Some(artifact_codec::encode_condensed(clean)),
+                    || clean_stage(work(), method.as_ref(), &config).map(Arc::new),
+                )
             });
             match outcome {
                 Ok(clean) => Some(clean),
@@ -1495,14 +1486,14 @@ impl Runner {
                 .attack_cache
                 .get_or_compute(key.attack_stage_key(), || {
                     fault::fire("stage.attack");
-                    self.attack_through_store(
-                        &graph,
-                        graph_fp,
-                        key,
-                        attack.as_ref(),
-                        method.as_ref(),
-                        &config,
-                        clean.as_deref(),
+                    let chained = attack.needs_clean_reference();
+                    // Artifacts whose trigger provider is not snapshottable
+                    // (third-party registry attacks) stay process-local.
+                    self.through_store(
+                        graph_fp.map(|fp| self.attack_store_key(key, fp, &config, chained)),
+                        artifact_codec::decode_attack,
+                        artifact_codec::encode_attack,
+                        || attack.run(work(), method.as_ref(), &config, clean.as_deref()),
                     )
                 });
             match outcome {
@@ -1515,7 +1506,7 @@ impl Runner {
         match defense {
             None => {
                 let backdoored = evaluate_backdoor(
-                    &graph,
+                    graph,
                     &artifacts.condensed,
                     artifacts.provider.as_ref(),
                     &config,
@@ -1531,7 +1522,7 @@ impl Runner {
                     });
                 };
                 let reference = evaluate_backdoor(
-                    &graph,
+                    graph,
                     &clean,
                     artifacts.provider.as_ref(),
                     &config,
@@ -1549,7 +1540,7 @@ impl Runner {
             }
             Some(defense) => {
                 let (cta, asr, asr_nodes) = defended_evaluation(
-                    &graph,
+                    graph,
                     &artifacts.condensed,
                     defense.as_ref(),
                     artifacts.provider.as_ref(),
@@ -1580,15 +1571,6 @@ impl Runner {
         KeyBuilder::new("cell", self.epochs.eval)
             .field("canon", key.canon())
             .build()
-    }
-
-    fn count_role(&self, role: StoreRole) {
-        let counter = match role {
-            StoreRole::Hit => &self.store_hits,
-            StoreRole::Computed => &self.store_computed,
-            StoreRole::Degraded => &self.store_degraded,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Store key of a clean condensation: the dataset and condensation code
@@ -1632,62 +1614,31 @@ impl Runner {
         builder.build()
     }
 
-    /// Clean-stage computation read through the artifact store (straight
-    /// compute when no store is attached).  Failed computations are
-    /// returned but never persisted.
-    fn clean_through_store(
+    /// `compute` read through the artifact store under `store_key`
+    /// (straight compute when no store is attached).  Failed computations,
+    /// and values `encode` declines, are returned but never persisted.
+    fn through_store<T>(
         &self,
-        graph: &Graph,
-        graph_fp: Option<u64>,
-        key: &CellKey,
-        method: &dyn CondensationMethod,
-        config: &BgcConfig,
-    ) -> StageResult<Arc<CondensedGraph>> {
-        let (Some(store), Some(graph_fp)) = (&self.store, graph_fp) else {
-            return clean_stage(graph, method, config).map(Arc::new);
+        store_key: Option<StoreKey>,
+        decode: impl Fn(&[u8]) -> Option<T>,
+        encode: impl Fn(&T) -> Option<Vec<u8>>,
+        compute: impl FnOnce() -> StageResult<T>,
+    ) -> StageResult<T> {
+        let (Some(store), Some(store_key)) = (&self.store, store_key) else {
+            return compute();
         };
-        let store_key = self.clean_store_key(key, graph_fp, config);
         let (result, role) = store.get_or_compute(
             &store_key,
-            |bytes| artifact_codec::decode_condensed(bytes).map(|g| Ok(Arc::new(g))),
-            |result| {
-                result
-                    .as_ref()
-                    .ok()
-                    .map(|g| artifact_codec::encode_condensed(g))
-            },
-            || clean_stage(graph, method, config).map(Arc::new),
+            |bytes| decode(bytes).map(Ok),
+            |result| result.as_ref().ok().and_then(&encode),
+            compute,
         );
-        self.count_role(role);
-        result
-    }
-
-    /// Attack-stage computation read through the artifact store.  Artifacts
-    /// whose trigger provider is not snapshottable (third-party registry
-    /// attacks) are returned but stay process-local.
-    #[allow(clippy::too_many_arguments)]
-    fn attack_through_store(
-        &self,
-        graph: &Graph,
-        graph_fp: Option<u64>,
-        key: &CellKey,
-        attack: &dyn Attack,
-        method: &dyn CondensationMethod,
-        config: &BgcConfig,
-        clean: Option<&CondensedGraph>,
-    ) -> StageResult<AttackArtifacts> {
-        let (Some(store), Some(graph_fp)) = (&self.store, graph_fp) else {
-            return attack_stage(attack, method, graph, config, clean);
+        let counter = match role {
+            StoreRole::Hit => &self.store_hits,
+            StoreRole::Computed => &self.store_computed,
+            StoreRole::Degraded => &self.store_degraded,
         };
-        let store_key =
-            self.attack_store_key(key, graph_fp, config, attack.needs_clean_reference());
-        let (result, role) = store.get_or_compute(
-            &store_key,
-            |bytes| artifact_codec::decode_attack(bytes).map(Ok),
-            |result| result.as_ref().ok().and_then(artifact_codec::encode_attack),
-            || attack_stage(attack, method, graph, config, clean),
-        );
-        self.count_role(role);
+        counter.fetch_add(1, Ordering::Relaxed);
         result
     }
 }
@@ -1865,6 +1816,37 @@ mod tests {
             "randsmooth".parse::<EvalKind>().unwrap(),
             EvalKind::randsmooth()
         );
+    }
+
+    #[test]
+    fn one_selector_is_trained_per_dataset() {
+        let runner = Runner::in_memory(ExperimentScale::Quick);
+        let overrides = CellOverrides {
+            outer_epochs: Some(4),
+            ..CellOverrides::default()
+        };
+        let mut keys = Vec::new();
+        for (dataset, ratio) in [(DatasetKind::Cora, 0.026), (DatasetKind::Flickr, 0.01)] {
+            for method in [CondensationKind::GCond, CondensationKind::GCondX] {
+                for attack in [AttackKind::Bgc, AttackKind::Gta] {
+                    let group = runner.group(
+                        dataset,
+                        method,
+                        attack,
+                        ratio,
+                        EvalKind::Standard,
+                        overrides.clone(),
+                    );
+                    keys.extend(group.keys);
+                }
+            }
+        }
+        let report = runner.run_cells(&keys);
+        assert!(report.is_ok(), "{}", report.summary());
+        let stats = runner.stats();
+        assert_eq!(stats.attack_stages_computed, 8);
+        assert_eq!((stats.selectors_computed, stats.selector_hits), (2, 6));
+        assert!(stats.summary().contains("selectors: 2 computed, 6 shared"));
     }
 
     #[test]

@@ -11,11 +11,11 @@ use std::sync::Arc;
 use bgc_condense::{resolve_condenser, CondensationKind, CondensationMethod, MethodId};
 use bgc_core::{
     register_attack, resolve_attack, Attack, AttackArtifacts, AttackId, AttackKind, BgcConfig,
-    BgcError,
+    BgcError, WorkingGraph,
 };
 use bgc_defense::{register_defense, resolve_defense, Defense};
 use bgc_eval::{CellOverrides, EvalKind, Experiment, ExperimentScale, Runner, DEFAULT_BASE_SEED};
-use bgc_graph::{CondensedGraph, DatasetKind, Graph};
+use bgc_graph::{CondensedGraph, DatasetKind};
 use bgc_nn::GnnArchitecture;
 use bgc_tensor::Matrix;
 use proptest::prelude::*;
@@ -36,7 +36,7 @@ impl Attack for LabelFlipAttack {
 
     fn run(
         &self,
-        graph: &Graph,
+        graph: &WorkingGraph,
         _method: &dyn CondensationMethod,
         config: &BgcConfig,
         clean: Option<&CondensedGraph>,

@@ -3,7 +3,7 @@
 //! Fault-tolerance substrate shared by every execution layer of the BGC
 //! reproduction: cooperative cancellation with deadlines ([`cancel`]),
 //! deterministic fault injection ([`fault`]) and poison-recovering lock
-//! helpers ([`lock`]).
+//! helpers with a compute-once map ([`lock`]).
 //!
 //! Both facilities are *scoped*: the experiment runner enters a scope around
 //! one cell's execution on the worker thread, and the long loops beneath it
@@ -21,4 +21,4 @@ pub mod lock;
 
 pub use cancel::{checkpoint, CancelScope, CancelToken, CancelUnwind};
 pub use fault::{FaultAction, FaultPlan, FaultScope, FaultSpec, FAULT_POINTS};
-pub use lock::{relock, relock_read, relock_write};
+pub use lock::{relock, relock_read, relock_write, OnceMap};
